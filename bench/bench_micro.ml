@@ -39,6 +39,24 @@ let extent_cycle () =
   in
   alloc_free_cycle p 100
 
+(* The same cycle on a volume shattered to ~6k free extents, the state
+   fill and aging leave behind: one-extent files fill most of it, then
+   every other one is deleted. *)
+let shattered_extent_cycle () =
+  let p =
+    C.Extent_alloc.create
+      (C.Extent_alloc.config ~range_means_bytes:[ 16 * 1024 ] ())
+      ~total_units:(1 lsl 18) ~rng:(C.Rng.create ~seed:1)
+  in
+  for i = 1 to 12_000 do
+    p.C.Policy.create_file ~file:(-i) ~hint:16;
+    ignore (p.C.Policy.ensure ~file:(-i) ~target:1)
+  done;
+  for i = 1 to 6_000 do
+    p.C.Policy.delete ~file:(-2 * i)
+  done;
+  alloc_free_cycle p 100
+
 let fixed_cycle () =
   let p =
     C.Fixed_block.create
@@ -48,17 +66,17 @@ let fixed_cycle () =
   alloc_free_cycle p 100
 
 let free_tree_churn () =
-  let tree = ref C.Free_tree.empty in
+  let tree = C.Free_tree.create () in
   for i = 0 to 999 do
-    tree := C.Free_tree.insert !tree ~addr:(i * 10) ~len:5
+    C.Free_tree.insert tree ~addr:(i * 10) ~len:5
   done;
   let i = ref 0 in
   fun () ->
     let addr = 10_000 + (!i mod 97) in
     incr i;
-    tree := C.Free_tree.insert !tree ~addr ~len:3;
-    ignore (C.Free_tree.first_fit !tree ~want:4);
-    tree := C.Free_tree.remove !tree ~addr
+    C.Free_tree.insert tree ~addr ~len:3;
+    ignore (C.Free_tree.first_fit tree ~want:4);
+    C.Free_tree.remove tree ~addr
 
 let heap_churn () =
   let heap = C.Heap.create () in
@@ -94,6 +112,8 @@ let tests =
       Test.make ~name:"buddy alloc+free 100u" (Staged.stage (buddy_cycle ()));
       Test.make ~name:"rbuddy alloc+free 100u" (Staged.stage (rbuddy_cycle ()));
       Test.make ~name:"extent alloc+free 100u" (Staged.stage (extent_cycle ()));
+      Test.make ~name:"extent alloc+free 100u, 6k free extents"
+        (Staged.stage (shattered_extent_cycle ()));
       Test.make ~name:"fixed alloc+free 100u" (Staged.stage (fixed_cycle ()));
       Test.make ~name:"free-tree insert/fit/remove" (Staged.stage (free_tree_churn ()));
       Test.make ~name:"heap pop+push (1k live)" (Staged.stage (heap_churn ()));

@@ -63,8 +63,8 @@ type t = {
           [(size_units, count)] pairs, strictly ascending in size, every
           count positive, with [sum (size * count) = free_units ()].
           Cheap — O(distinct sizes) for the list-structured policies,
-          O(free extents) for the extent tree — so the telemetry layer
-          can sample it every window. *)
+          a sort of the free extents' lengths for the extent tree — so
+          the telemetry layer can sample it every window. *)
   churn_stats : unit -> churn_stats;
       (** Cumulative allocator-internal write accounting (user-driven
           appends vs. data the policy moved on its own), feeding the

@@ -518,6 +518,88 @@ let prop_extent_conservation_and_coalescing =
       && p.Policy.free_units () = p.Policy.total_units
       && p.Policy.largest_free () = p.Policy.total_units)
 
+(* Naive reference for the extent policy's free space: the sorted list
+   of maximal free runs, searched linearly. *)
+let model_pick fit free want =
+  let fits = List.filter (fun (_, l) -> l >= want) free in
+  match fit with
+  | Extent_alloc.First_fit -> List.nth_opt fits 0
+  | Extent_alloc.Best_fit ->
+      List.fold_left
+        (fun best (a, l) ->
+          match best with Some (ba, bl) when (bl, ba) <= (l, a) -> best | _ -> Some (a, l))
+        None fits
+
+let model_claim free addr want =
+  List.concat_map
+    (fun (a, l) -> if a <> addr then [ (a, l) ] else if l > want then [ (a + want, l - want) ] else [])
+    free
+
+let model_release free extent =
+  let rec merge = function
+    | (a, l) :: (b, m) :: rest when a + l = b -> merge ((a, l + m) :: rest)
+    | x :: rest -> x :: merge rest
+    | [] -> []
+  in
+  merge (List.sort compare (extent :: free))
+
+let model_hist free =
+  List.fold_right
+    (fun l acc -> match acc with (s, c) :: rest when s = l -> (s, c + 1) :: rest | _ -> (l, 1) :: acc)
+    (List.sort compare (List.map snd free))
+    []
+
+let prop_extent_matches_naive_model =
+  QCheck.Test.make ~name:"extent policy claims what a naive free-list model picks" ~count:100
+    QCheck.(pair (int_bound 1000) bool)
+    (fun (seed, best) ->
+      let fit = if best then Extent_alloc.Best_fit else Extent_alloc.First_fit in
+      let total = 2048 in
+      let p = ext ~fit ~ranges:[ 4 * 1024; 32 * 1024 ] ~total ~seed () in
+      let rng = Rng.create ~seed:(seed + 1) in
+      let nfiles = 10 in
+      let hint () = if Rng.int rng 2 = 0 then 4 else 32 in
+      for f = 0 to nfiles - 1 do
+        p.Policy.create_file ~file:f ~hint:(hint ())
+      done;
+      let extents f = List.map (fun e -> (e.Extent.addr, e.Extent.len)) (p.Policy.extents ~file:f) in
+      let free = ref [ (0, total) ] in
+      let ok = ref true in
+      for _ = 1 to 300 do
+        let f = Rng.int rng nfiles in
+        let before = extents f in
+        let full =
+          match Rng.int rng 3 with
+          | 0 ->
+              let target = p.Policy.allocated_units ~file:f + 1 + Rng.int rng 60 in
+              p.Policy.ensure ~file:f ~target = Error `Disk_full
+          | 1 ->
+              p.Policy.shrink_to ~file:f ~target:(Rng.int rng (p.Policy.allocated_units ~file:f + 1));
+              false
+          | _ ->
+              p.Policy.delete ~file:f;
+              p.Policy.create_file ~file:f ~hint:(hint ());
+              false
+        in
+        let after = extents f in
+        let nb = List.length before in
+        (* An op appends extents to the file or drops a suffix of it. *)
+        List.iteri
+          (fun i (addr, len) ->
+            if i >= nb then
+              match model_pick fit !free len with
+              | Some (a, _) when a = addr -> free := model_claim !free addr len
+              | Some _ | None -> ok := false)
+          after;
+        List.iteri (fun i e -> if i >= List.length after then free := model_release !free e) before;
+        (* A refusal is right only when the model has no fit either. *)
+        (match after with
+        | (_, len) :: _ when full -> if model_pick fit !free len <> None then ok := false
+        | _ -> ());
+        if p.Policy.free_hist () <> model_hist !free then ok := false
+      done;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Fixed block *)
 
@@ -796,6 +878,7 @@ let () =
           quick "range assignment by hint" test_extent_range_assignment_by_hint;
           quick "truncate frees tail" test_extent_truncate_frees_tail;
           QCheck_alcotest.to_alcotest prop_extent_conservation_and_coalescing;
+          QCheck_alcotest.to_alcotest prop_extent_matches_naive_model;
         ] );
       ( "fixed block",
         [

@@ -449,6 +449,125 @@ let test_restore_refusals () =
     (raises_invalid (fun () -> Engine.checkpoint recording))
 
 (* ------------------------------------------------------------------ *)
+(* Extent allocator section: canonical bytes, validated loads          *)
+(* ------------------------------------------------------------------ *)
+
+let extent_policy fit =
+  C.Extent_alloc.create
+    (C.Extent_alloc.config ~fit ~range_means_bytes:[ 4 * k; 32 * k ] ())
+    ~total_units:4096 ~rng:(C.Rng.create ~seed:5)
+
+(* A deterministic create/ensure/shrink/delete churn over ten files. *)
+let churn (p : C.Policy.t) ~seed ~steps =
+  let rng = C.Rng.create ~seed in
+  for _ = 1 to steps do
+    let file = C.Rng.int rng 10 in
+    if not (p.C.Policy.file_exists ~file) then
+      p.C.Policy.create_file ~file ~hint:(if file mod 2 = 0 then 4 else 32)
+    else
+      match C.Rng.int rng 3 with
+      | 0 ->
+          let target = p.C.Policy.allocated_units ~file + 1 + C.Rng.int rng 200 in
+          ignore (p.C.Policy.ensure ~file ~target)
+      | 1 ->
+          let target = C.Rng.int rng (p.C.Policy.allocated_units ~file + 1) in
+          p.C.Policy.shrink_to ~file ~target
+      | _ -> p.C.Policy.delete ~file
+  done
+
+(* save -> load -> save gives the same bytes, and the loaded policy
+   then behaves exactly like the original. *)
+let test_extent_section_canonical () =
+  List.iter
+    (fun fit ->
+      let a = extent_policy fit and b = extent_policy fit in
+      churn a ~seed:1 ~steps:400;
+      let saved = a.C.Policy.ckpt_save () in
+      b.C.Policy.ckpt_load saved;
+      check_bool "save -> load -> save byte-identical" true
+        (String.equal saved (b.C.Policy.ckpt_save ()));
+      churn a ~seed:2 ~steps:400;
+      churn b ~seed:2 ~steps:400;
+      check_bool "loaded policy continues identically" true
+        (String.equal (a.C.Policy.ckpt_save ()) (b.C.Policy.ckpt_save ())))
+    [ C.Extent_alloc.First_fit; C.Extent_alloc.Best_fit ]
+
+let refused_as_snapshot_error f =
+  match f () with
+  | exception Invalid_argument msg ->
+      String.length msg > 9 && String.sub msg 0 9 = "snapshot:" && not (String.contains msg '\n')
+  | _ -> false
+
+(* Same layout as the section's payload record, to build hostile ones. *)
+type extent_section = {
+  ck_free : (int * int) list;
+  ck_files : (int * int * (int * int) list) list;
+  ck_rng : C.Rng.t;
+  ck_user_units : int;
+}
+
+let test_extent_section_validated () =
+  let p = extent_policy C.Extent_alloc.First_fit in
+  churn p ~seed:3 ~steps:200;
+  let before = p.C.Policy.ckpt_save () in
+  let hostile sec =
+    "rofs-extent-alloc-v1\n" ^ Marshal.to_string (sec : extent_section) [ Marshal.No_sharing ]
+  in
+  let rng = C.Rng.create ~seed:1 in
+  let base = { ck_free = [ (0, 4096) ]; ck_files = []; ck_rng = rng; ck_user_units = 0 } in
+  List.iter
+    (fun (name, blob) ->
+      check_bool (name ^ " refused") true
+        (refused_as_snapshot_error (fun () -> p.C.Policy.ckpt_load blob));
+      check_bool (name ^ " left the policy untouched") true
+        (String.equal before (p.C.Policy.ckpt_save ())))
+    [
+      ("untagged", String.sub before 21 (String.length before - 21));
+      ("truncated", String.sub before 0 40);
+      ("unsorted free", hostile { base with ck_free = [ (100, 3996); (0, 100) ] });
+      ("uncoalesced free", hostile { base with ck_free = [ (0, 100); (100, 3996) ] });
+      ("short of the volume", hostile { base with ck_free = [ (0, 4000) ] });
+      ( "overlapping file",
+        hostile { base with ck_free = [ (0, 4096) ]; ck_files = [ (1, 8, [ (8, 8) ]) ] } );
+      ( "duplicate file id",
+        hostile
+          {
+            base with
+            ck_free = [ (16, 4080) ];
+            ck_files = [ (1, 8, [ (0, 8) ]); (1, 8, [ (8, 8) ]) ];
+          } );
+    ];
+  (* and the well-formed variant of the same record loads *)
+  p.C.Policy.ckpt_load (hostile { base with ck_free = [ (8, 4088) ]; ck_files = [ (1, 8, [ (0, 8) ]) ] });
+  check_int "hand-built section loads" 4088 (p.C.Policy.free_units ())
+
+(* A snapshot written before the extent section had a format tag
+   (fixtures/extent_untagged.ckpt: mini_tp, ckpt_config, extent policy,
+   taken after fill_to_lower_bound) must be refused with a one-line
+   error and leave the engine able to run as if fresh. *)
+let test_untagged_extent_snapshot_refused () =
+  let path = Filename.concat (Filename.dirname Sys.executable_name) "fixtures/extent_untagged.ckpt" in
+  let sections =
+    match Ckpt.load_file path with Ok s -> s | Error msg -> Alcotest.failf "fixture: %s" msg
+  in
+  let spec = spec_of "extent" and w = mini_tp in
+  let run engine =
+    Engine.fill_to_lower_bound engine;
+    let app = Engine.run_application_test engine in
+    (app, Engine.run_sequential_test engine)
+  in
+  let engine = Experiment.make_engine ~config:ckpt_config spec w in
+  (match Engine.restore engine sections with
+  | () -> Alcotest.fail "untagged extent snapshot was loaded"
+  | exception Invalid_argument msg ->
+      check_bool "one-line snapshot: error from the extent section" true
+        (String.sub msg 0 27 = "snapshot: extent allocator:" && not (String.contains msg '\n')));
+  let app, seq = run engine in
+  let fapp, fseq = run (Experiment.make_engine ~config:ckpt_config spec w) in
+  check_tp_equal "refused engine app" fapp app;
+  check_tp_equal "refused engine seq" fseq seq
+
+(* ------------------------------------------------------------------ *)
 (* Container: round-trip, truncation sweep, bit-flip sweep             *)
 (* ------------------------------------------------------------------ *)
 
@@ -647,6 +766,12 @@ let () =
         ( "refusal",
           [ slow "wrong config / damaged snapshot / recorder refused" test_restore_refusals ]
         );
+        ( "extent ckpt",
+          [
+            quick "canonical bytes, identical continuation" test_extent_section_canonical;
+            quick "malformed sections refused" test_extent_section_validated;
+            slow "untagged snapshot refused" test_untagged_extent_snapshot_refused;
+          ] );
         ( "trace codec",
           [ quick "corrupt traces never raise" test_trace_codec_corruption ] );
       ]

@@ -15,7 +15,9 @@
      to the same Sink JSON at every shard count;
    - hot-path allocation: a queued-path (SSTF) run is bounded in minor
      words allocated per simulated operation — the regression guard for
-     the engine's preallocated-scratch / pooled-event design;
+     the engine's preallocated-scratch / pooled-event design — and
+     extent first-fit churn on a shattered volume is bounded in minor
+     words per extent claimed or released;
    - validation: --shards 0 style misuse raises Invalid_argument, and
      Workload.partition's arithmetic invariants hold.
 
@@ -398,6 +400,99 @@ let test_hot_path_allocation_budget () =
     Alcotest.failf "hot path allocates %.1f minor words per op (budget 900)" per_op
 
 (* ------------------------------------------------------------------ *)
+(* Alloc-only allocation budget (extent first fit, shattered volume)   *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per extent claimed or released, over ensure/shrink/delete
+   churn on a volume whose free space is shattered into thousands of
+   pieces.  One-extent files fill most of the volume and every other one
+   is deleted; the survivors stay put, so the holes between them cannot
+   coalesce away while a separate set of files churns through them.
+   Only the policy calls are measured: each round first grows files,
+   then shrinks or deletes them, and counts the extents each phase moved
+   from the files' extent counts, read outside the measured spans.
+   Re-creating deleted files (an RNG draw) is not measured. *)
+let test_alloc_only_allocation_budget () =
+  let p =
+    C.Extent_alloc.create
+      (C.Extent_alloc.config ~range_means_bytes:[ 8 * 1024 ] ())
+      ~total_units:(1 lsl 19) ~rng:(C.Rng.create ~seed:1)
+  in
+  let pinned = 30_000 and churned = 2_000 in
+  for file = 0 to pinned - 1 do
+    p.C.Policy.create_file ~file ~hint:8;
+    ignore (p.C.Policy.ensure ~file ~target:1)
+  done;
+  for file = 0 to pinned - 1 do
+    if file mod 2 = 1 then p.C.Policy.delete ~file
+  done;
+  let churn_file i = pinned + i in
+  for i = 0 to churned - 1 do
+    p.C.Policy.create_file ~file:(churn_file i) ~hint:8
+  done;
+  let free_extents () = List.fold_left (fun acc (_, c) -> acc + c) 0 (p.C.Policy.free_hist ()) in
+  check_bool "shattered to >= 5k free extents" true (free_extents () >= 5_000);
+  let live () =
+    let n = ref 0 in
+    for i = 0 to churned - 1 do
+      let file = churn_file i in
+      if p.C.Policy.file_exists ~file then n := !n + p.C.Policy.extent_count ~file
+    done;
+    !n
+  in
+  (* A cheap LCG picks files: the measured loops allocate nothing of
+     their own. *)
+  let state = ref 12345 in
+  let pick () =
+    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+    !state
+  in
+  let picks = Array.make churned 0 and targets = Array.make churned 0 in
+  let words = ref 0. and moved = ref 0 in
+  let measure f =
+    let before = live () in
+    let w0 = Gc.minor_words () in
+    f ();
+    words := !words +. (Gc.minor_words () -. w0);
+    moved := !moved + abs (live () - before)
+  in
+  for round = 1 to 10 do
+    for i = 0 to churned - 1 do
+      picks.(i) <- churn_file (pick () mod churned);
+      targets.(i) <- p.C.Policy.allocated_units ~file:picks.(i) + 1 + (pick () mod 32)
+    done;
+    measure (fun () ->
+        for i = 0 to churned - 1 do
+          ignore (p.C.Policy.ensure ~file:picks.(i) ~target:targets.(i))
+        done);
+    for i = 0 to churned - 1 do
+      picks.(i) <- churn_file (pick () mod churned);
+      targets.(i) <- p.C.Policy.allocated_units ~file:picks.(i) / 2
+    done;
+    measure (fun () ->
+        for i = 0 to churned - 1 do
+          let file = picks.(i) in
+          (* a file picked twice in one batch may already be gone *)
+          if p.C.Policy.file_exists ~file then
+            if (i + round) mod 4 = 0 then p.C.Policy.delete ~file
+            else p.C.Policy.shrink_to ~file ~target:targets.(i)
+        done);
+    for i = 0 to churned - 1 do
+      let file = churn_file i in
+      if not (p.C.Policy.file_exists ~file) then p.C.Policy.create_file ~file ~hint:8
+    done;
+    check_bool "still shattered" true (free_extents () >= 5_000)
+  done;
+  check_bool "churn moved many extents" true (!moved > 20_000);
+  let per_extent = !words /. float_of_int !moved in
+  (* The array-backed free-extent index allocates nothing per claim or
+     release; what remains (~15 words) is the per-file extent list,
+     closures and option results.  The persistent tree it replaced cost
+     ~260 words per extent on this churn. *)
+  if per_extent > 48. then
+    Alcotest.failf "extent churn allocates %.1f minor words per extent (budget 48)" per_extent
+
+(* ------------------------------------------------------------------ *)
 (* Validation and partition arithmetic                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -476,7 +571,10 @@ let () =
             slow "cache counters merge deterministically" test_cached_invariance;
           ] );
         ( "hot path",
-          [ slow "minor words per op bounded" test_hot_path_allocation_budget ] );
+          [
+            slow "minor words per op bounded" test_hot_path_allocation_budget;
+            slow "alloc-only minor words per extent bounded" test_alloc_only_allocation_budget;
+          ] );
         ( "validation",
           [
             quick "shards / shard_slices validation" test_validate_shards;

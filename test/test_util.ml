@@ -419,7 +419,12 @@ let prop_bitset_matches_model =
 (* Free_tree *)
 
 let ft_of_list pairs =
-  List.fold_left (fun t (addr, len) -> Free_tree.insert t ~addr ~len) Free_tree.empty pairs
+  let t = Free_tree.create () in
+  List.iter (fun (addr, len) -> Free_tree.insert t ~addr ~len) pairs;
+  t
+
+(* A query's node as the [(addr, len)] option the checks compare. *)
+let ext t n = if n = 0 then None else Some (Free_tree.addr t n, Free_tree.len t n)
 
 let test_free_tree_basic () =
   let t = ft_of_list [ (10, 5); (0, 3); (20, 10) ] in
@@ -427,76 +432,142 @@ let test_free_tree_basic () =
   check_int "total" 18 (Free_tree.total_len t);
   check_int "max_len" 10 (Free_tree.max_len t);
   check_bool "mem 10" true (Free_tree.mem t ~addr:10);
-  check_bool "find 20" true (Free_tree.find t ~addr:20 = Some 10);
-  check_bool "find 5 absent" true (Free_tree.find t ~addr:5 = None);
+  check_bool "find 20" true (ext t (Free_tree.find t ~addr:20) = Some (20, 10));
+  check_bool "find 5 absent" true (Free_tree.find t ~addr:5 = 0);
   Alcotest.(check (list (pair int int))) "address order" [ (0, 3); (10, 5); (20, 10) ]
     (Free_tree.to_list t)
 
 let test_free_tree_remove () =
   let t = ft_of_list [ (0, 1); (5, 2); (9, 3) ] in
-  let t = Free_tree.remove t ~addr:5 in
+  Free_tree.remove t ~addr:5;
   check_int "cardinal" 2 (Free_tree.cardinal t);
   check_bool "gone" false (Free_tree.mem t ~addr:5);
   check_int "total adjusted" 4 (Free_tree.total_len t);
-  let t = Free_tree.remove t ~addr:12345 in
+  Free_tree.remove t ~addr:12345;
   check_int "removing absent is a no-op" 2 (Free_tree.cardinal t)
 
 let test_free_tree_neighbors () =
   let t = ft_of_list [ (0, 4); (10, 4); (20, 4) ] in
-  check_bool "pred of 10" true (Free_tree.pred t ~addr:10 = Some (0, 4));
-  check_bool "succ of 10" true (Free_tree.succ t ~addr:10 = Some (20, 4));
-  check_bool "pred of 0" true (Free_tree.pred t ~addr:0 = None);
-  check_bool "succ of 20" true (Free_tree.succ t ~addr:20 = None);
-  check_bool "pred of 15" true (Free_tree.pred t ~addr:15 = Some (10, 4))
+  check_bool "pred of 10" true (ext t (Free_tree.pred t ~addr:10) = Some (0, 4));
+  check_bool "succ of 10" true (ext t (Free_tree.succ t ~addr:10) = Some (20, 4));
+  check_bool "pred of 0" true (ext t (Free_tree.pred t ~addr:0) = None);
+  check_bool "succ of 20" true (ext t (Free_tree.succ t ~addr:20) = None);
+  check_bool "pred of 15" true (ext t (Free_tree.pred t ~addr:15) = Some (10, 4))
 
 let test_free_tree_first_fit () =
   let t = ft_of_list [ (0, 2); (10, 8); (30, 4); (50, 16) ] in
-  check_bool "wants 1 -> lowest" true (Free_tree.first_fit t ~want:1 = Some (0, 2));
-  check_bool "wants 3 -> 10" true (Free_tree.first_fit t ~want:3 = Some (10, 8));
-  check_bool "wants 9 -> 50" true (Free_tree.first_fit t ~want:9 = Some (50, 16));
-  check_bool "wants 17 -> none" true (Free_tree.first_fit t ~want:17 = None)
+  check_bool "wants 1 -> lowest" true (ext t (Free_tree.first_fit t ~want:1) = Some (0, 2));
+  check_bool "wants 3 -> 10" true (ext t (Free_tree.first_fit t ~want:3) = Some (10, 8));
+  check_bool "wants 9 -> 50" true (ext t (Free_tree.first_fit t ~want:9) = Some (50, 16));
+  check_bool "wants 17 -> none" true (ext t (Free_tree.first_fit t ~want:17) = None)
 
 let test_free_tree_first_fit_from () =
   let t = ft_of_list [ (0, 8); (10, 8); (30, 8) ] in
-  check_bool "from 5 skips 0" true (Free_tree.first_fit_from t ~min_addr:5 ~want:4 = Some (10, 8));
-  check_bool "from 0 finds 0" true (Free_tree.first_fit_from t ~min_addr:0 ~want:4 = Some (0, 8));
-  check_bool "from 31 none" true (Free_tree.first_fit_from t ~min_addr:31 ~want:4 = None)
+  let fff ~min_addr ~want = ext t (Free_tree.first_fit_from t ~min_addr ~want) in
+  check_bool "from 5 skips 0" true (fff ~min_addr:5 ~want:4 = Some (10, 8));
+  check_bool "from 0 finds 0" true (fff ~min_addr:0 ~want:4 = Some (0, 8));
+  check_bool "from 31 none" true (fff ~min_addr:31 ~want:4 = None)
 
 let test_free_tree_duplicate_raises () =
   let t = ft_of_list [ (5, 2) ] in
   Alcotest.check_raises "duplicate address" (Invalid_argument "Free_tree.insert: duplicate address")
-    (fun () -> ignore (Free_tree.insert t ~addr:5 ~len:9))
+    (fun () -> Free_tree.insert t ~addr:5 ~len:9);
+  Alcotest.(check (list (pair int int))) "refused insert leaves the tree" [ (5, 2) ]
+    (Free_tree.to_list t)
+
+let test_free_tree_rekey () =
+  let t = ft_of_list [ (0, 4); (10, 4); (20, 4) ] in
+  Free_tree.rekey t ~addr:10 ~new_addr:12 ~len:7;
+  Alcotest.(check (list (pair int int))) "moved in place" [ (0, 4); (12, 7); (20, 4) ]
+    (Free_tree.to_list t);
+  check_int "total follows" 15 (Free_tree.total_len t);
+  check_int "max follows" 7 (Free_tree.max_len t);
+  Alcotest.check_raises "absent key" (Invalid_argument "Free_tree.rekey: no extent at that address")
+    (fun () -> Free_tree.rekey t ~addr:10 ~new_addr:11 ~len:1);
+  check_bool "invariants hold" true (Free_tree.check_invariants t = Ok ())
 
 let test_free_tree_invariants_small () =
   let t = ft_of_list (List.init 100 (fun i -> (i * 10, (i mod 7) + 1))) in
   check_bool "invariants hold" true (Free_tree.check_invariants t = Ok ())
 
+(* Drain to empty and refill: removed nodes are reused, so refilling to
+   the same size must not grow the node arrays' used prefix — visible as
+   invariants holding (no leaked or double-used node) through many
+   rounds far past the initial capacity. *)
+let test_free_tree_recycle_and_grow () =
+  let t = Free_tree.create () in
+  for round = 1 to 3 do
+    let n = 1000 * round in
+    for i = 0 to n - 1 do
+      Free_tree.insert t ~addr:(i * 7 mod n * 3) ~len:(1 + (i mod 5))
+    done;
+    check_int "filled" n (Free_tree.cardinal t);
+    check_bool "invariants after fill" true (Free_tree.check_invariants t = Ok ());
+    for i = 0 to n - 1 do
+      Free_tree.remove t ~addr:(i * 3)
+    done;
+    check_bool "drained" true (Free_tree.is_empty t);
+    check_int "drained total" 0 (Free_tree.total_len t);
+    check_int "drained max" 0 (Free_tree.max_len t);
+    check_bool "invariants after drain" true (Free_tree.check_invariants t = Ok ())
+  done;
+  Free_tree.insert t ~addr:1 ~len:2;
+  Free_tree.clear t;
+  check_bool "clear empties" true (Free_tree.is_empty t && Free_tree.check_invariants t = Ok ());
+  Free_tree.insert t ~addr:4 ~len:6;
+  Alcotest.(check (list (pair int int))) "usable after clear" [ (4, 6) ] (Free_tree.to_list t)
+
+(* Reference answers computed from the sorted association list. *)
+let model_pred m a = List.fold_left (fun best (k, l) -> if k < a then Some (k, l) else best) None m
+let model_succ m a = List.find_opt (fun (k, _) -> k > a) m
+let model_first_fit_from m ~min_addr ~want = List.find_opt (fun (k, l) -> k >= min_addr && l >= want) m
+
+let free_tree_agrees t m probes =
+  Free_tree.to_list t = m
+  && Free_tree.check_invariants t = Ok ()
+  && Free_tree.cardinal t = List.length m
+  && Free_tree.total_len t = List.fold_left (fun a (_, l) -> a + l) 0 m
+  && Free_tree.max_len t = List.fold_left (fun a (_, l) -> max a l) 0 m
+  && List.for_all
+       (fun (a, want) ->
+         ext t (Free_tree.pred t ~addr:a) = model_pred m a
+         && ext t (Free_tree.succ t ~addr:a) = model_succ m a
+         && ext t (Free_tree.first_fit t ~want) = model_first_fit_from m ~min_addr:min_int ~want
+         && ext t (Free_tree.first_fit_from t ~min_addr:a ~want)
+            = model_first_fit_from m ~min_addr:a ~want)
+       probes
+
 let prop_free_tree_model =
-  (* Random insert/remove sequences behave like a sorted association
-     list, and the AVL invariants hold at every step. *)
-  let gen = QCheck.(list (pair (int_bound 500) bool)) in
-  QCheck.Test.make ~name:"free tree matches a model under churn" ~count:200 gen (fun ops ->
-      let model = Hashtbl.create 16 in
-      let tree = ref Free_tree.empty in
-      List.iter
-        (fun (addr, insert) ->
-          if insert && not (Hashtbl.mem model addr) then begin
-            let len = (addr mod 9) + 1 in
-            Hashtbl.replace model addr len;
-            tree := Free_tree.insert !tree ~addr ~len
-          end
-          else begin
-            Hashtbl.remove model addr;
-            tree := Free_tree.remove !tree ~addr
-          end)
-        ops;
-      let expected =
-        Hashtbl.fold (fun a l acc -> (a, l) :: acc) model [] |> List.sort compare
-      in
-      Free_tree.to_list !tree = expected
-      && Free_tree.check_invariants !tree = Ok ()
-      && Free_tree.cardinal !tree = List.length expected
-      && Free_tree.total_len !tree = List.fold_left (fun a (_, l) -> a + l) 0 expected)
+  (* Random insert/remove/rekey sequences behave like a sorted
+     association list: after every step the contents, the maintained
+     totals, the AVL invariants and every query on random probes agree
+     with the model. *)
+  let gen =
+    QCheck.(
+      pair (list (pair (int_bound 500) (int_bound 2))) (small_list (pair (int_bound 510) (int_range 1 10))))
+  in
+  QCheck.Test.make ~name:"free tree matches a model under churn" ~count:200 gen (fun (ops, probes) ->
+      let tree = Free_tree.create () in
+      let model = ref [] in
+      let set m = model := List.sort compare m in
+      List.for_all
+        (fun (addr, op) ->
+          let present = List.mem_assoc addr !model in
+          (match op with
+          | 0 when not present ->
+              let len = (addr mod 9) + 1 in
+              set ((addr, len) :: !model);
+              Free_tree.insert tree ~addr ~len
+          | 2 when present && not (List.mem_assoc (addr + 1) !model) ->
+              (* addr + 1 still lies strictly between the neighbours *)
+              let len = (List.assoc addr !model mod 9) + 1 in
+              set ((addr + 1, len) :: List.remove_assoc addr !model);
+              Free_tree.rekey tree ~addr ~new_addr:(addr + 1) ~len
+          | _ ->
+              set (List.remove_assoc addr !model);
+              Free_tree.remove tree ~addr);
+          free_tree_agrees tree !model probes)
+        ops)
 
 let prop_free_tree_first_fit_is_lowest =
   QCheck.Test.make ~name:"first_fit returns the lowest adequate address" ~count:200
@@ -518,7 +589,7 @@ let prop_free_tree_first_fit_is_lowest =
       let expected =
         List.sort compare pairs |> List.find_opt (fun (_, l) -> l >= want)
       in
-      Free_tree.first_fit tree ~want = expected)
+      ext tree (Free_tree.first_fit tree ~want) = expected)
 
 (* ------------------------------------------------------------------ *)
 (* Vec *)
@@ -684,7 +755,9 @@ let () =
           quick "first fit" test_free_tree_first_fit;
           quick "first fit from" test_free_tree_first_fit_from;
           quick "duplicate raises" test_free_tree_duplicate_raises;
+          quick "rekey" test_free_tree_rekey;
           quick "invariants" test_free_tree_invariants_small;
+          quick "recycle and grow" test_free_tree_recycle_and_grow;
           QCheck_alcotest.to_alcotest prop_free_tree_model;
           QCheck_alcotest.to_alcotest prop_free_tree_first_fit_is_lowest;
         ] );
