@@ -1,6 +1,7 @@
 (* Micro-benchmarks (Bechamel) of the allocator and data-structure
    primitives: one allocate+free cycle per policy, free-tree and event
-   heap operations, and the logical-to-physical slice query.  These are
+   heap operations, the logical-to-physical slice query, one disk
+   access and the random draws.  These are
    engineering benchmarks for the library itself, not paper artifacts;
    they make the cost of the simulation's inner loops visible. *)
 
@@ -96,7 +97,8 @@ let slice_query () =
   done;
   let rng = C.Rng.create ~seed:9 in
   let total = C.File_extents.allocated_units fx in
-  fun () -> ignore (C.File_extents.slice fx ~off:(C.Rng.int rng (total - 64)) ~len:64)
+  let runs = C.Runs.create () in
+  fun () -> C.File_extents.slice fx ~off:(C.Rng.int rng (total - 64)) ~len:64 runs
 
 let disk_access () =
   let array = C.Array_model.create ~disks:8 (C.Array_model.Striped { stripe_unit = 24 * 1024 }) in
@@ -105,6 +107,20 @@ let disk_access () =
   fun () ->
     let addr = C.Rng.int rng 1_000_000 * 1024 in
     now := C.Array_model.access array ~now:!now ~kind:C.Array_model.Read ~extents:[ (addr, 65536) ]
+
+(* The simulator's stochastic draws: op type, file, transfer size and
+   offset, think time, rotational latency. *)
+let rng_int () =
+  let rng = C.Rng.create ~seed:13 in
+  fun () -> ignore (C.Rng.int rng 1000 : int)
+
+let rng_float () =
+  let rng = C.Rng.create ~seed:15 in
+  fun () -> ignore (C.Rng.float rng : float)
+
+let dist_exponential () =
+  let rng = C.Rng.create ~seed:17 in
+  fun () -> ignore (C.Dist.exponential rng ~mean:20. : float)
 
 let tests =
   Test.make_grouped ~name:"rofs" ~fmt:"%s %s"
@@ -119,6 +135,9 @@ let tests =
       Test.make ~name:"heap pop+push (1k live)" (Staged.stage (heap_churn ()));
       Test.make ~name:"slice of 10k-extent file" (Staged.stage (slice_query ()));
       Test.make ~name:"striped 64K disk access" (Staged.stage (disk_access ()));
+      Test.make ~name:"rng int 1000" (Staged.stage (rng_int ()));
+      Test.make ~name:"rng float" (Staged.stage (rng_float ()));
+      Test.make ~name:"dist exponential" (Staged.stage (dist_exponential ()));
     ]
 
 let run () =

@@ -55,9 +55,10 @@ let create config ~total_units =
   in
   seed t;
   let the_file file =
-    match Hashtbl.find_opt t.files file with
-    | Some f -> f
-    | None -> invalid_arg "Buddy: unknown file"
+    (* [find], not [find_opt]: no option is allocated per lookup. *)
+    match Hashtbl.find t.files file with
+    | f -> f
+    | exception Not_found -> invalid_arg "Buddy: unknown file"
   in
   (* Take a block of exactly order [k], splitting a larger one if needed.
      [prefer] is an address whose block, if free at order [k], is taken
@@ -198,7 +199,7 @@ let create config ~total_units =
     allocated_units = allocated;
     extent_count = (fun ~file -> File_extents.count (the_file file).fx);
     extents = (fun ~file -> File_extents.to_list (the_file file).fx);
-    slice = (fun ~file ~off ~len -> File_extents.slice (the_file file).fx ~off ~len);
+    slice = File_extents.slicer (fun file -> (the_file file).fx);
     free_units = (fun () -> t.free_units);
     largest_free;
     free_hist;

@@ -113,7 +113,7 @@ type ckpt = {
   ck_free : (int * int) list;  (** (addr, len) in address order *)
   ck_files : (int * int * (int * int) list) list;
       (** (file id, extent units, its (addr, len) in logical order), by id *)
-  ck_rng : Rofs_util.Rng.t;
+  ck_rng : Rofs_util.Rng.state;
   ck_user_units : int;
 }
 
@@ -130,7 +130,7 @@ let encode_ckpt t =
       {
         ck_free = Free_tree.to_list t.tree;
         ck_files = List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) files;
-        ck_rng = Rofs_util.Rng.copy t.rng;
+        ck_rng = Rofs_util.Rng.save t.rng;
         ck_user_units = t.user_units;
       }
       [ Marshal.No_sharing ]
@@ -182,7 +182,7 @@ let load_ckpt t ck =
       Hashtbl.replace t.files id { fx; extent_units })
     ck.ck_files;
   (* The engine's policy builder aliases the RNG: restore it in place. *)
-  Rofs_util.Rng.assign ~dst:t.rng ~src:ck.ck_rng;
+  Rofs_util.Rng.restore ~dst:t.rng ck.ck_rng;
   t.user_units <- ck.ck_user_units
 
 let create cfg ~total_units ~rng =
@@ -201,9 +201,10 @@ let create cfg ~total_units ~rng =
   in
   insert_free t ~addr:0 ~len:total_units;
   let the_file file =
-    match Hashtbl.find_opt t.files file with
-    | Some f -> f
-    | None -> invalid_arg "Extent_alloc: unknown file"
+    (* [find], not [find_opt]: no option is allocated per lookup. *)
+    match Hashtbl.find t.files file with
+    | f -> f
+    | exception Not_found -> invalid_arg "Extent_alloc: unknown file"
   in
   let create_file ~file ~hint =
     if Hashtbl.mem t.files file then invalid_arg "Extent_alloc: duplicate file";
@@ -263,7 +264,7 @@ let create cfg ~total_units ~rng =
     allocated_units = (fun ~file -> File_extents.allocated_units (the_file file).fx);
     extent_count = (fun ~file -> File_extents.count (the_file file).fx);
     extents = (fun ~file -> File_extents.to_list (the_file file).fx);
-    slice = (fun ~file ~off ~len -> File_extents.slice (the_file file).fx ~off ~len);
+    slice = File_extents.slicer (fun file -> (the_file file).fx);
     free_units = (fun () -> Free_tree.total_len t.tree);
     largest_free = (fun () -> Free_tree.max_len t.tree);
     free_hist =

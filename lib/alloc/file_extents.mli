@@ -33,8 +33,14 @@ val relocate : t -> (Extent.t -> int option) -> unit
     cumulative index stays valid).  Used by the log-structured policy's
     segment cleaner, which moves live extents without resizing them. *)
 
-val slice : t -> off:int -> len:int -> Extent.t list
-(** Physical extents covering logical units [off .. off+len), in logical
-    order, with the first and last clipped to the range.  The range is
-    clamped to the allocated length; an empty list results when it lies
-    entirely beyond it. *)
+val slice : t -> off:int -> len:int -> Rofs_util.Runs.t -> unit
+(** [slice t ~off ~len runs] replaces the contents of [runs] with the
+    physical [(addr, len)] runs covering logical units [off .. off+len),
+    in logical order, with the first and last clipped to the range.  The
+    range is clamped to the allocated length; [runs] is left empty when
+    it lies entirely beyond it.  Allocates nothing. *)
+
+val slicer : (int -> t) -> file:int -> off:int -> len:int -> Rofs_util.Runs.t
+(** [slicer fx_of] is a policy's [slice] closure: it slices the file
+    [fx_of file] into one buffer of its own and returns that buffer,
+    valid until the next call. *)

@@ -24,9 +24,10 @@ let create cfg ~total_units ~rng =
   let files : (int, file) Hashtbl.t = Hashtbl.create 256 in
   let user_units = ref 0 in
   let the_file file =
-    match Hashtbl.find_opt files file with
-    | Some f -> f
-    | None -> invalid_arg "Fixed_block: unknown file"
+    (* [find], not [find_opt]: no option is allocated per lookup. *)
+    match Hashtbl.find files file with
+    | f -> f
+    | exception Not_found -> invalid_arg "Fixed_block: unknown file"
   in
   let create_file ~file ~hint:_ =
     if Hashtbl.mem files file then invalid_arg "Fixed_block: duplicate file";
@@ -93,7 +94,7 @@ let create cfg ~total_units ~rng =
     allocated_units = (fun ~file -> File_extents.allocated_units (the_file file).fx);
     extent_count = (fun ~file -> File_extents.count (the_file file).fx);
     extents = (fun ~file -> File_extents.to_list (the_file file).fx);
-    slice = (fun ~file ~off ~len -> File_extents.slice (the_file file).fx ~off ~len);
+    slice = File_extents.slicer (fun file -> (the_file file).fx);
     free_units = (fun () -> Queue.length free_list * block_units);
     largest_free = (fun () -> if Queue.is_empty free_list then 0 else block_units);
     free_hist =

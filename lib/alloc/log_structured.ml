@@ -215,9 +215,10 @@ let create cfg ~total_units =
   in
   ignore (switch_head t : bool);
   let the_file file =
-    match Hashtbl.find_opt t.files file with
-    | Some f -> f
-    | None -> invalid_arg "Log_structured: unknown file"
+    (* [find], not [find_opt]: no option is allocated per lookup. *)
+    match Hashtbl.find t.files file with
+    | f -> f
+    | exception Not_found -> invalid_arg "Log_structured: unknown file"
   in
   let create_file ~file ~hint:_ =
     if Hashtbl.mem t.files file then invalid_arg "Log_structured: duplicate file";
@@ -314,7 +315,7 @@ let create cfg ~total_units =
     allocated_units = (fun ~file -> File_extents.allocated_units (the_file file).fx);
     extent_count = (fun ~file -> File_extents.count (the_file file).fx);
     extents = (fun ~file -> File_extents.to_list (the_file file).fx);
-    slice = (fun ~file ~off ~len -> File_extents.slice (the_file file).fx ~off ~len);
+    slice = File_extents.slicer (fun file -> (the_file file).fx);
     free_units = (fun () -> free_units t);
     largest_free = (fun () -> max (head_space t) (if IntSet.is_empty t.clean then 0 else t.seg_units));
     free_hist =

@@ -24,7 +24,7 @@ type t = {
   allocated_units : file:int -> int;
   extent_count : file:int -> int;
   extents : file:int -> Extent.t list;
-  slice : file:int -> off:int -> len:int -> Extent.t list;
+  slice : file:int -> off:int -> len:int -> Rofs_util.Runs.t;
   free_units : unit -> int;
   largest_free : unit -> int;
   free_hist : unit -> (int * int) list;

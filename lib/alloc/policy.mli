@@ -53,8 +53,10 @@ type t = {
   allocated_units : file:int -> int;
   extent_count : file:int -> int;
   extents : file:int -> Extent.t list;
-  slice : file:int -> off:int -> len:int -> Extent.t list;
-      (** Physical extents backing logical units [off..off+len). *)
+  slice : file:int -> off:int -> len:int -> Rofs_util.Runs.t;
+      (** Physical [(addr, len)] runs backing logical units
+          [off..off+len), in a buffer the policy owns and refills on
+          the next call. *)
   free_units : unit -> int;
   largest_free : unit -> int;
       (** Largest contiguous piece the policy could hand out right now. *)

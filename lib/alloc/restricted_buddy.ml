@@ -249,9 +249,10 @@ let create cfg ~total_units =
   in
   seed t;
   let the_file file =
-    match Hashtbl.find_opt t.files file with
-    | Some f -> f
-    | None -> invalid_arg "Restricted_buddy: unknown file"
+    (* [find], not [find_opt]: no option is allocated per lookup. *)
+    match Hashtbl.find t.files file with
+    | f -> f
+    | exception Not_found -> invalid_arg "Restricted_buddy: unknown file"
   in
   let create_file ~file ~hint:_ =
     if Hashtbl.mem t.files file then invalid_arg "Restricted_buddy: duplicate file";
@@ -386,7 +387,7 @@ let create cfg ~total_units =
     allocated_units = (fun ~file -> File_extents.allocated_units (the_file file).fx);
     extent_count = (fun ~file -> File_extents.count (the_file file).fx);
     extents = (fun ~file -> File_extents.to_list (the_file file).fx);
-    slice = (fun ~file ~off ~len -> File_extents.slice (the_file file).fx ~off ~len);
+    slice = File_extents.slicer (fun file -> (the_file file).fx);
     free_units = (fun () -> t.free_units);
     largest_free;
     free_hist;

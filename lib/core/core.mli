@@ -31,6 +31,7 @@ module Stats = Rofs_util.Stats
 module Bitset = Rofs_util.Bitset
 module Free_tree = Rofs_util.Free_tree
 module Vec = Rofs_util.Vec
+module Runs = Rofs_util.Runs
 module Units = Rofs_util.Units
 module Table = Rofs_util.Table
 

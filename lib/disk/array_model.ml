@@ -4,6 +4,7 @@ module Fault_plan = Rofs_fault.Plan
 module Fault = Rofs_fault.State
 module Sink = Rofs_obs.Sink
 module Tr = Rofs_obs.Trace
+module Runs = Rofs_util.Runs
 
 type config =
   | Striped of { stripe_unit : int }
@@ -57,6 +58,10 @@ type t = {
   scheduler : Sched_policy.t;
   queues : req Squeue.t array;  (** pending requests, one dispatch queue per drive *)
   in_service : req option array;  (** the request each drive is currently moving *)
+  busy_box : float option array;
+      (** with media faults on the queued path: the boxed completion time
+          that was also the drive's busy clock in the record layout, so
+          snapshots marshal the same sharing; see [dispatch_push] *)
   mutable next_op_id : int;
   fault : Fault.t;  (** drive health, media-error and dirty-region state *)
   media_on : bool;  (** media faults configured: consult [fault] per chunk *)
@@ -80,11 +85,12 @@ type t = {
   mutable cb_parity : bool array;
   mutable cb_rmw : bool array;
   mutable cb_len : int;
-  (* Results of the last synchronous [perform_buf]. *)
-  mutable pc_began : float;
-  mutable pc_finish : float;
+  window : float array;
+      (** service window of the last synchronous operation: slot 0 when
+          its first chunk began, slot 1 when its last one finished *)
+  list_runs : Runs.t;  (** the list-taking entry points' runs *)
   (* Dispatch scratch buffer: the requests started by the last
-     [submit_flat] / [complete_flat], in dispatch order. *)
+     [submit_runs] / [complete_flat], in dispatch order. *)
   mutable db_drive : int array;
   mutable db_op_id : int array;
   mutable db_started : float array;
@@ -129,6 +135,7 @@ let create_mixed ?(seed = 0) ?(scheduler = Sched_policy.Fcfs) ?(faults = Fault_p
     scheduler;
     queues = Array.init disks (fun _ -> Squeue.create scheduler);
     in_service = Array.make disks None;
+    busy_box = Array.make disks None;
     next_op_id = 0;
     fault = Fault.create faults ~drives:disks;
     media_on = Fault_plan.media_faults faults;
@@ -141,8 +148,8 @@ let create_mixed ?(seed = 0) ?(scheduler = Sched_policy.Fcfs) ?(faults = Fault_p
     cb_parity = Array.make 64 false;
     cb_rmw = Array.make 64 false;
     cb_len = 0;
-    pc_began = 0.;
-    pc_finish = 0.;
+    window = Array.make 2 0.;
+    list_runs = Runs.create ();
     db_drive = Array.make 16 0;
     db_op_id = Array.make 16 0;
     db_started = Array.make 16 0.;
@@ -225,20 +232,6 @@ let cb_push t ~disk ~offset ~bytes ~parity ~rmw =
 
 let cb_push_data t ~disk ~offset ~bytes = cb_push t ~disk ~offset ~bytes ~parity:false ~rmw:false
 
-(* Split a logical extent at [stripe]-unit boundaries and feed each unit
-   through [place : unit_index -> within -> bytes -> unit], which
-   appends that unit's chunks. *)
-let iter_striped ~stripe ~place (addr, len) =
-  let rec go addr len =
-    if len > 0 then begin
-      let within = addr mod stripe in
-      let take = min len (stripe - within) in
-      place (addr / stripe) within take;
-      go (addr + take) (len - take)
-    end
-  in
-  go addr len
-
 (* Queued + in-service depth of one drive's dispatch queue. *)
 let load t d =
   Squeue.length t.queues.(d) + (match t.in_service.(d) with Some _ -> 1 | None -> 0)
@@ -264,195 +257,196 @@ let reconstruct_chunks t ~dead ~members ~offset ~take =
     members;
   if !first then raise (Fault.Data_loss { drive = dead; offset; bytes = take })
 
-(* Map one logical extent onto physical chunks, appended to the chunk
-   buffer in generation order.  May raise [Fault.Data_loss] mid-append;
-   callers reset [cb_len] per operation, so a partially generated
-   operation is simply abandoned (nothing has been issued yet). *)
-let gen_extent ?(queued = false) t ~kind (addr, len) =
-  if len < 0 || addr < 0 || addr + len > capacity_bytes t then
-    invalid_arg "Array_model: extent outside the array";
+(* Size of the logical units an extent is split into: a stripe unit, or
+   under parity striping (drives concatenated) a drive's data share. *)
+let unit_bytes t =
+  match t.config with
+  | Striped { stripe_unit } | Mirrored { stripe_unit } | Raid5 { stripe_unit } -> stripe_unit
+  | Parity_striped -> parity_striped_data_per_drive t
+
+(* Append the chunks of [take] bytes at [within] of logical unit [idx],
+   units being [unit] = [unit_bytes t] long. *)
+let place_unit t ~queued ~kind ~unit idx within take =
   let n = disks t in
   match t.config with
-  | Striped { stripe_unit } ->
-      let place idx within take =
-        let disk = idx mod n in
-        let offset = (idx / n * stripe_unit) + within in
-        (* No redundancy: a dead drive's units are simply gone, and a
-           write that cannot land has nowhere else to go. *)
-        let lost =
-          match kind with
-          | Read -> not (Fault.readable t.fault ~drive:disk ~offset ~bytes:take)
-          | Write -> not (Fault.writable t.fault ~drive:disk)
-        in
-        if lost then raise (Fault.Data_loss { drive = disk; offset; bytes = take });
-        cb_push_data t ~disk ~offset ~bytes:take
-      in
-      iter_striped ~stripe:stripe_unit ~place (addr, len)
-  | Mirrored { stripe_unit } ->
-      let pairs = n / 2 in
-      let place idx within take =
-        let pair = idx mod pairs in
-        let offset = (idx / pairs * stripe_unit) + within in
-        let primary = 2 * pair and secondary = (2 * pair) + 1 in
+  | Striped _ ->
+      let disk = idx mod n in
+      let offset = (idx / n * unit) + within in
+      (* No redundancy: a dead drive's units are simply gone, and a
+         write that cannot land has nowhere else to go. *)
+      let lost =
         match kind with
-        | Read ->
-            let pok = Fault.readable t.fault ~drive:primary ~offset ~bytes:take in
-            let sok = Fault.readable t.fault ~drive:secondary ~offset ~bytes:take in
-            let disk =
-              if pok && sok then
-                (* Both arms alive: prefer the arm already streaming this
-                   extent; otherwise the shorter queue (dispatch-queue
-                   depth when scheduling is queued, the busy clock on the
-                   FCFS fast path). *)
-                if Drive.next_sequential t.drives.(primary) = offset then primary
-                else if Drive.next_sequential t.drives.(secondary) = offset then secondary
-                else if queued && load t primary <> load t secondary then
-                  if load t primary < load t secondary then primary else secondary
-                else if Drive.busy_until t.drives.(primary) <= Drive.busy_until t.drives.(secondary)
-                then primary
-                else secondary
-              else if pok || sok then begin
-                (* Failover: the surviving arm serves the read alone. *)
-                Fault.note_reconstructed_read t.fault;
-                if pok then primary else secondary
-              end
-              else raise (Fault.Data_loss { drive = primary; offset; bytes = take })
-            in
-            cb_push_data t ~disk ~offset ~bytes:take
-        | Write ->
-            let pok = Fault.writable t.fault ~drive:primary in
-            let sok = Fault.writable t.fault ~drive:secondary in
-            if pok && sok then begin
-              cb_push_data t ~disk:primary ~offset ~bytes:take;
-              cb_push t ~disk:secondary ~offset ~bytes:take ~parity:true ~rmw:false
-            end
+        | Read -> not (Fault.readable t.fault ~drive:disk ~offset ~bytes:take)
+        | Write -> not (Fault.writable t.fault ~drive:disk)
+      in
+      if lost then raise (Fault.Data_loss { drive = disk; offset; bytes = take });
+      cb_push_data t ~disk ~offset ~bytes:take
+  | Mirrored _ -> (
+      let pairs = n / 2 in
+      let pair = idx mod pairs in
+      let offset = (idx / pairs * unit) + within in
+      let primary = 2 * pair and secondary = (2 * pair) + 1 in
+      match kind with
+      | Read ->
+          let pok = Fault.readable t.fault ~drive:primary ~offset ~bytes:take in
+          let sok = Fault.readable t.fault ~drive:secondary ~offset ~bytes:take in
+          let disk =
+            if pok && sok then
+              (* Both arms alive: prefer the arm already streaming this
+                 extent; otherwise the shorter queue (dispatch-queue
+                 depth when scheduling is queued, the busy clock on the
+                 FCFS fast path). *)
+              if Drive.next_sequential t.drives.(primary) = offset then primary
+              else if Drive.next_sequential t.drives.(secondary) = offset then secondary
+              else if queued && load t primary <> load t secondary then
+                if load t primary < load t secondary then primary else secondary
+              else if
+                (Drive.clock t.drives.(primary)).(Drive.busy_slot)
+                <= (Drive.clock t.drives.(secondary)).(Drive.busy_slot)
+              then primary
+              else secondary
             else if pok || sok then begin
-              (* Degraded write: skip the dead arm and remember what it
-                 missed; the rebuild sweep will restore it. *)
-              Fault.note_degraded_write t.fault;
-              let dead = if pok then secondary else primary in
-              Fault.log_dirty t.fault ~drive:dead ~offset ~bytes:take;
-              cb_push_data t ~disk:(if pok then primary else secondary) ~offset ~bytes:take
+              (* Failover: the surviving arm serves the read alone. *)
+              Fault.note_reconstructed_read t.fault;
+              if pok then primary else secondary
             end
             else raise (Fault.Data_loss { drive = primary; offset; bytes = take })
-      in
-      iter_striped ~stripe:stripe_unit ~place (addr, len)
-  | Raid5 { stripe_unit } ->
+          in
+          cb_push_data t ~disk ~offset ~bytes:take
+      | Write ->
+          let pok = Fault.writable t.fault ~drive:primary in
+          let sok = Fault.writable t.fault ~drive:secondary in
+          if pok && sok then begin
+            cb_push_data t ~disk:primary ~offset ~bytes:take;
+            cb_push t ~disk:secondary ~offset ~bytes:take ~parity:true ~rmw:false
+          end
+          else if pok || sok then begin
+            (* Degraded write: skip the dead arm and remember what it
+               missed; the rebuild sweep will restore it. *)
+            Fault.note_degraded_write t.fault;
+            let dead = if pok then secondary else primary in
+            Fault.log_dirty t.fault ~drive:dead ~offset ~bytes:take;
+            cb_push_data t ~disk:(if pok then primary else secondary) ~offset ~bytes:take
+          end
+          else raise (Fault.Data_loss { drive = primary; offset; bytes = take }))
+  | Raid5 _ -> (
       let data_per_row = n - 1 in
-      let place idx within take =
-        let row = idx / data_per_row in
-        let pos = idx mod data_per_row in
-        let parity_disk = row mod n in
-        let disk = if pos < parity_disk then pos else pos + 1 in
-        let offset = (row * stripe_unit) + within in
-        match kind with
-        | Read ->
-            if Fault.readable t.fault ~drive:disk ~offset ~bytes:take then
-              cb_push_data t ~disk ~offset ~bytes:take
-            else
-              (* Degraded read: XOR of the row's surviving units. *)
-              reconstruct_chunks t ~dead:disk ~members:t.all_drives ~offset ~take
-        | Write ->
-            let dok = Fault.writable t.fault ~drive:disk in
-            let pok = Fault.writable t.fault ~drive:parity_disk in
-            if dok && pok then begin
-              (* Small-write penalty: read-modify-write of the data unit
-                 and of the row's parity unit. *)
-              cb_push t ~disk ~offset ~bytes:take ~parity:false ~rmw:true;
-              cb_push t ~disk:parity_disk ~offset ~bytes:take ~parity:true ~rmw:true
-            end
-            else if pok then begin
-              (* Dead data arm: keep the row's parity current so the data
-                 is recoverable, and log the dirty region. *)
-              Fault.note_degraded_write t.fault;
-              Fault.log_dirty t.fault ~drive:disk ~offset ~bytes:take;
-              cb_push t ~disk:parity_disk ~offset ~bytes:take ~parity:true ~rmw:true
-            end
-            else if dok then begin
-              (* Dead parity arm: plain write, nothing to read-modify. *)
-              Fault.note_degraded_write t.fault;
-              Fault.log_dirty t.fault ~drive:parity_disk ~offset ~bytes:take;
-              cb_push t ~disk ~offset ~bytes:take ~parity:false ~rmw:false
-            end
-            else raise (Fault.Data_loss { drive = disk; offset; bytes = take })
-      in
-      iter_striped ~stripe:stripe_unit ~place (addr, len)
-  | Parity_striped ->
-      let per_drive = parity_striped_data_per_drive t in
-      let parity_base = per_drive in
-      let parity_span = drive_capacity t - per_drive in
-      let rec go addr len =
-        if len > 0 then begin
-          let disk = addr / per_drive in
-          let within = addr mod per_drive in
-          let take = min len (per_drive - within) in
-          (match kind with
-          | Read ->
-              if Fault.readable t.fault ~drive:disk ~offset:within ~bytes:take then
-                cb_push_data t ~disk ~offset:within ~bytes:take
-              else
-                reconstruct_chunks t ~dead:disk ~members:t.all_drives ~offset:within ~take
-          | Write ->
-              (* Parity for drive d's data lives in the parity region
-                 of drive d+1 (mod N), scaled down N-1 : 1. *)
-              let pdisk = (disk + 1) mod n in
-              let poff = parity_base + (within mod parity_span) in
-              let pbytes = min take (drive_capacity t - poff) in
-              let dok = Fault.writable t.fault ~drive:disk in
-              let pok = Fault.writable t.fault ~drive:pdisk in
-              if dok && pok then begin
-                cb_push_data t ~disk ~offset:within ~bytes:take;
-                cb_push t ~disk:pdisk ~offset:poff ~bytes:pbytes ~parity:true ~rmw:true
-              end
-              else if pok then begin
-                Fault.note_degraded_write t.fault;
-                Fault.log_dirty t.fault ~drive:disk ~offset:within ~bytes:take;
-                cb_push t ~disk:pdisk ~offset:poff ~bytes:pbytes ~parity:true ~rmw:true
-              end
-              else if dok then begin
-                Fault.note_degraded_write t.fault;
-                Fault.log_dirty t.fault ~drive:pdisk ~offset:poff ~bytes:pbytes;
-                cb_push_data t ~disk ~offset:within ~bytes:take
-              end
-              else raise (Fault.Data_loss { drive = disk; offset = within; bytes = take }));
-          go (addr + take) (len - take)
-        end
-      in
-      go addr len
+      let row = idx / data_per_row in
+      let pos = idx mod data_per_row in
+      let parity_disk = row mod n in
+      let disk = if pos < parity_disk then pos else pos + 1 in
+      let offset = (row * unit) + within in
+      match kind with
+      | Read ->
+          if Fault.readable t.fault ~drive:disk ~offset ~bytes:take then
+            cb_push_data t ~disk ~offset ~bytes:take
+          else
+            (* Degraded read: XOR of the row's surviving units. *)
+            reconstruct_chunks t ~dead:disk ~members:t.all_drives ~offset ~take
+      | Write ->
+          let dok = Fault.writable t.fault ~drive:disk in
+          let pok = Fault.writable t.fault ~drive:parity_disk in
+          if dok && pok then begin
+            (* Small-write penalty: read-modify-write of the data unit
+               and of the row's parity unit. *)
+            cb_push t ~disk ~offset ~bytes:take ~parity:false ~rmw:true;
+            cb_push t ~disk:parity_disk ~offset ~bytes:take ~parity:true ~rmw:true
+          end
+          else if pok then begin
+            (* Dead data arm: keep the row's parity current so the data
+               is recoverable, and log the dirty region. *)
+            Fault.note_degraded_write t.fault;
+            Fault.log_dirty t.fault ~drive:disk ~offset ~bytes:take;
+            cb_push t ~disk:parity_disk ~offset ~bytes:take ~parity:true ~rmw:true
+          end
+          else if dok then begin
+            (* Dead parity arm: plain write, nothing to read-modify. *)
+            Fault.note_degraded_write t.fault;
+            Fault.log_dirty t.fault ~drive:parity_disk ~offset ~bytes:take;
+            cb_push t ~disk ~offset ~bytes:take ~parity:false ~rmw:false
+          end
+          else raise (Fault.Data_loss { drive = disk; offset; bytes = take }))
+  | Parity_striped -> (
+      let disk = idx in
+      match kind with
+      | Read ->
+          if Fault.readable t.fault ~drive:disk ~offset:within ~bytes:take then
+            cb_push_data t ~disk ~offset:within ~bytes:take
+          else reconstruct_chunks t ~dead:disk ~members:t.all_drives ~offset:within ~take
+      | Write ->
+          (* Parity for drive d's data lives in the parity region of drive
+             d+1 (mod N), scaled down N-1 : 1. *)
+          let pdisk = (disk + 1) mod n in
+          let poff = unit + (within mod (drive_capacity t - unit)) in
+          let pbytes = Int.min take (drive_capacity t - poff) in
+          let dok = Fault.writable t.fault ~drive:disk in
+          let pok = Fault.writable t.fault ~drive:pdisk in
+          if dok && pok then begin
+            cb_push_data t ~disk ~offset:within ~bytes:take;
+            cb_push t ~disk:pdisk ~offset:poff ~bytes:pbytes ~parity:true ~rmw:true
+          end
+          else if pok then begin
+            Fault.note_degraded_write t.fault;
+            Fault.log_dirty t.fault ~drive:disk ~offset:within ~bytes:take;
+            cb_push t ~disk:pdisk ~offset:poff ~bytes:pbytes ~parity:true ~rmw:true
+          end
+          else if dok then begin
+            Fault.note_degraded_write t.fault;
+            Fault.log_dirty t.fault ~drive:pdisk ~offset:poff ~bytes:pbytes;
+            cb_push_data t ~disk ~offset:within ~bytes:take
+          end
+          else raise (Fault.Data_loss { drive = disk; offset = within; bytes = take }))
 
-let gen_extents ?queued t ~kind extents =
+(* Map an operation's logical runs onto physical chunks, appended to the
+   chunk buffer in generation order.  May raise [Fault.Data_loss]
+   mid-append; the buffer is reset per operation, so a partially
+   generated operation is simply abandoned (nothing has been issued
+   yet). *)
+let gen_runs t ~queued ~kind runs =
   t.cb_len <- 0;
-  List.iter (fun e -> gen_extent ?queued t ~kind e) extents
+  let capacity = capacity_bytes t and unit = unit_bytes t in
+  for i = 0 to Runs.length runs - 1 do
+    let addr = ref (Runs.addr runs i) and len = ref (Runs.len runs i) in
+    if !len < 0 || !addr < 0 || !addr + !len > capacity then
+      invalid_arg "Array_model: extent outside the array";
+    while !len > 0 do
+      let within = !addr mod unit in
+      let take = Int.min !len (unit - within) in
+      place_unit t ~queued ~kind ~unit (!addr / unit) within take;
+      addr := !addr + take;
+      len := !len - take
+    done
+  done
 
 type service = { began : float; finished : float }
 
 (* Extra service time charged by the media-fault model for one chunk
-   request, pushed onto the drive's busy clock.  [0.] — and no fault-RNG
-   draw — when media faults are off. *)
-let media_stall t ~disk ~offset ~bytes ~default =
-  if not t.media_on then default
-  else begin
-    let drive = t.drives.(disk) in
-    let g = Drive.geometry drive in
-    let extra =
-      Fault.media_extra_ms t.fault ~drive:disk ~rotation_ms:g.Geometry.rotation_ms
-        ~sector_bytes:g.Geometry.sector_bytes ~offset ~bytes
-    in
-    Drive.stall drive ~ms:extra
-  end
+   request, pushed onto the drive's busy clock; the chunk's completion
+   time is then the drive's [done_slot].  Only called when media faults
+   are on: otherwise there is no penalty and no fault-RNG draw. *)
+let media_stall t ~disk ~offset ~bytes =
+  let drive = t.drives.(disk) in
+  let g = Drive.geometry drive in
+  let extra =
+    Fault.media_extra_ms t.fault ~drive:disk ~rotation_ms:g.Geometry.rotation_ms
+      ~sector_bytes:g.Geometry.sector_bytes ~offset ~bytes
+  in
+  Drive.stall drive ~ms:extra
 
 let perform_buf t ~now =
   (* Issue the buffered chunks drive by drive in generation order; each
      drive's queue (its busy clock) serialises them, distinct drives
-     overlap.  [pc_began] is the moment the first chunk starts moving —
-     after any queueing behind earlier operations.
+     overlap.  [window.(0)] is the moment the first chunk starts moving
+     — after any queueing behind earlier operations — and [window.(1)]
+     when the last one completes.
 
      Instrumentation contract: every recording is guarded on [t.obs],
      and the guarded reads feed fixed scratch slots, so the un-observed
      path performs the same work (and the same RNG draws) as before a
      sink existed — byte-identical results either way. *)
-  t.pc_finish <- now;
-  t.pc_began <- infinity;
+  let w = t.window in
+  w.(0) <- infinity;
+  w.(1) <- now;
   (match t.obs with
   | None -> ()
   | Some _ ->
@@ -466,8 +460,7 @@ let perform_buf t ~now =
     let offset = t.cb_offset.(i) in
     let bytes = t.cb_bytes.(i) in
     let drive = t.drives.(disk) in
-    let start = Float.max now (Drive.busy_until drive) in
-    if start < t.pc_began then t.pc_began <- start;
+    let clock = Drive.clock drive in
     (match t.obs with
     | None -> ()
     | Some _ ->
@@ -475,11 +468,13 @@ let perform_buf t ~now =
         s.(4) <- Drive.seek_ms_total drive;
         s.(5) <- Drive.rotation_ms_total drive;
         s.(6) <- Drive.transfer_ms_total drive);
-    let served =
-      let once = Drive.access drive ~now ~rng:t.rng ~offset ~bytes in
-      if t.cb_rmw.(i) then Drive.access drive ~now ~rng:t.rng ~offset ~bytes else once
-    in
-    let done_at = media_stall t ~disk ~offset ~bytes ~default:served in
+    Drive.issue drive ~now ~rng:t.rng ~offset ~bytes;
+    let start = clock.(Drive.start_slot) in
+    if start < w.(0) then w.(0) <- start;
+    if t.cb_rmw.(i) then Drive.issue drive ~now ~rng:t.rng ~offset ~bytes;
+    let served = clock.(Drive.done_slot) in
+    if t.media_on then media_stall t ~disk ~offset ~bytes;
+    let done_at = clock.(Drive.done_slot) in
     (match t.obs with
     | None -> ()
     | Some sink ->
@@ -515,29 +510,33 @@ let perform_buf t ~now =
                 bytes = 0;
               }
         end);
-    if done_at > t.pc_finish then t.pc_finish <- done_at;
+    if done_at > w.(1) then w.(1) <- done_at;
     if not t.cb_parity.(i) then t.bytes_moved <- t.bytes_moved + bytes
   done;
-  if t.pc_began = infinity then t.pc_began <- now
+  if w.(0) = infinity then w.(0) <- now
 
 let last_breakdown t =
   let s = t.ob_scratch in
   (s.(0), s.(1), s.(2), s.(3))
 
-let serve_extents t ~now ~kind ~extents =
-  gen_extents t ~kind extents;
+let serve_runs t ~now ~kind runs =
+  gen_runs t ~queued:false ~kind runs;
   perform_buf t ~now
 
-let last_began t = t.pc_began
-let last_finished t = t.pc_finish
+let window t = t.window
+
+(* The list-taking entry points are adapters onto the run path. *)
+let serve_list t ~now ~kind extents =
+  Runs.set_list t.list_runs extents;
+  serve_runs t ~now ~kind t.list_runs
 
 let service t ~now ~kind ~extents =
-  serve_extents t ~now ~kind ~extents;
-  { began = t.pc_began; finished = t.pc_finish }
+  serve_list t ~now ~kind extents;
+  { began = t.window.(0); finished = t.window.(1) }
 
 let access t ~now ~kind ~extents =
-  serve_extents t ~now ~kind ~extents;
-  t.pc_finish
+  serve_list t ~now ~kind extents;
+  t.window.(1)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch-queue path: requests are queued per drive and the scheduler
@@ -604,7 +603,7 @@ let dispatch_push t d ~now =
       match Squeue.take t.queues.(d) ~head:(Drive.head_cylinder drive) with
       | None -> ()
       | Some (_cyl, req) ->
-          let start = Float.max now (Drive.busy_until drive) in
+          let clock = Drive.clock drive in
           (match t.obs with
           | None -> ()
           | Some _ ->
@@ -612,13 +611,25 @@ let dispatch_push t d ~now =
               s.(4) <- Drive.seek_ms_total drive;
               s.(5) <- Drive.rotation_ms_total drive;
               s.(6) <- Drive.transfer_ms_total drive);
-          let served =
-            Drive.serve drive ~start ~rng:t.rng ~offset:req.r_offset ~bytes:req.r_bytes
-              ~passes:req.r_passes
+          (* [Float.max now busy_until] as ONE boxed value, stored below
+             in both [r_start] and the op's [began]: snapshots marshal
+             the sharing of boxed floats, and this keeps what the
+             record-field clocks had.  That is [now] itself unless the
+             drive is still busy, and then the drive's old clock box —
+             with media faults on, the previous request's completion. *)
+          let busy = clock.(Drive.busy_slot) in
+          let start =
+            if busy > now then
+              match t.busy_box.(d) with
+              | Some b when b = busy -> b
+              | Some _ | None -> Sys.opaque_identity busy
+            else now
           in
-          let finish =
-            media_stall t ~disk:d ~offset:req.r_offset ~bytes:req.r_bytes ~default:served
-          in
+          Drive.serve drive ~now:start ~rng:t.rng ~offset:req.r_offset ~bytes:req.r_bytes
+            ~passes:req.r_passes;
+          let served = clock.(Drive.done_slot) in
+          if t.media_on then media_stall t ~disk:d ~offset:req.r_offset ~bytes:req.r_bytes;
+          let finish = clock.(Drive.done_slot) in
           (match t.obs with
           | None -> ()
           | Some sink ->
@@ -660,6 +671,9 @@ let dispatch_push t d ~now =
               end);
           req.r_start <- start;
           req.r_finish <- finish;
+          (* A stall left the drive's clock box and the completion time
+             one box in the record layout. *)
+          if t.media_on then t.busy_box.(d) <- Some req.r_finish;
           if start < req.r_op.began then req.r_op.began <- start;
           if not req.r_parity then t.bytes_moved <- t.bytes_moved + req.r_bytes;
           t.in_service.(d) <- Some req;
@@ -756,12 +770,12 @@ let submit_buf t ~now =
   done;
   op
 
-let submit_flat t ~now ~kind ~extents =
-  gen_extents ~queued:true t ~kind extents;
+let submit_runs t ~now ~kind runs =
+  gen_runs t ~queued:true ~kind runs;
   submit_buf t ~now
 
 (* List-building wrapper kept for tests and offline tools; the engine
-   uses {!submit_flat} plus the dispatch-buffer accessors. *)
+   uses {!submit_runs} plus the dispatch-buffer accessors. *)
 let dispatched_list t =
   List.init t.db_len (fun i ->
       {
@@ -774,7 +788,8 @@ let dispatched_list t =
       })
 
 let submit t ~now ~kind ~extents =
-  let op = submit_flat t ~now ~kind ~extents in
+  Runs.set_list t.list_runs extents;
+  let op = submit_runs t ~now ~kind t.list_runs in
   (op, dispatched_list t)
 
 let complete_flat t ~drive =
@@ -881,7 +896,7 @@ let rebuild_step t ~now ~queued ~drive =
           end
           else begin
             perform_buf t ~now;
-            Rebuild_sync t.pc_finish
+            Rebuild_sync t.window.(1)
           end
         end
       end
@@ -910,17 +925,31 @@ let bytes_moved t = t.bytes_moved
    checkpointed separately ({!Fault.ckpt_save}); the scratch buffers
    are dead between events and simply reset. *)
 let ckpt_save t =
+  let save d drive =
+    match t.busy_box.(d) with
+    | Some b when b = (Drive.clock drive).(Drive.busy_slot) -> Drive.save ~busy_until:b drive
+    | Some _ | None -> Drive.save drive
+  in
   Marshal.to_string
-    (t.drives, Rofs_util.Rng.copy t.rng, t.bytes_moved, t.queues, t.in_service, t.next_op_id)
+    ( Array.mapi save t.drives,
+      Rofs_util.Rng.save t.rng,
+      t.bytes_moved,
+      t.queues,
+      t.in_service,
+      t.next_op_id )
     []
 
 let ckpt_load t blob =
   let drives, rng, bytes_moved, queues, in_service, next_op_id =
     (Marshal.from_string blob 0
-      : Drive.t array * Rofs_util.Rng.t * int * req Squeue.t array * req option array * int)
+      : Drive.saved array * Rofs_util.Rng.state * int * req Squeue.t array * req option array * int)
   in
-  Array.iteri (fun i d -> t.drives.(i) <- d) drives;
-  Rofs_util.Rng.assign ~dst:t.rng ~src:rng;
+  Array.iteri
+    (fun i d ->
+      Drive.restore ~dst:t.drives.(i) d;
+      t.busy_box.(i) <- (if t.media_on then Some (Drive.saved_busy_until d) else None))
+    drives;
+  Rofs_util.Rng.restore ~dst:t.rng rng;
   t.bytes_moved <- bytes_moved;
   Array.iteri (fun i q -> t.queues.(i) <- q) queues;
   Array.blit in_service 0 t.in_service 0 (Array.length t.in_service);
@@ -934,6 +963,7 @@ let reset t =
   Array.iter Drive.reset t.drives;
   Array.iter Squeue.clear t.queues;
   Array.fill t.in_service 0 (Array.length t.in_service) None;
+  Array.fill t.busy_box 0 (Array.length t.busy_box) None;
   t.cb_len <- 0;
   t.db_len <- 0;
   t.touched_len <- 0;

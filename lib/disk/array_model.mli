@@ -6,9 +6,9 @@
     striping where files live on single disks but parity is spread.
 
     The array exposes a flat byte address space of its {e data} capacity;
-    {!access} maps an operation on a list of logical extents to requests
-    on individual drives and returns the completion time (drives work in
-    parallel; each drive serialises its own queue). *)
+    {!serve_runs} maps an operation on logical runs to requests on
+    individual drives and leaves its service window in {!window} (drives
+    work in parallel; each drive serialises its own queue). *)
 
 type config =
   | Striped of { stripe_unit : int }
@@ -81,24 +81,25 @@ type service = { began : float; finished : float }
     queueing behind earlier operations); [finished] when its last drive
     completes. *)
 
-val service : t -> now:float -> kind:kind -> extents:(int * int) list -> service
+val serve_runs : t -> now:float -> kind:kind -> Rofs_util.Runs.t -> unit
 (** Perform one logical operation touching the given [(offset, bytes)]
-    data extents (in order).  Chunks destined to distinct drives proceed
-    in parallel; chunks on one drive are serialised in extent order. *)
+    data runs (in order).  Chunks destined to distinct drives proceed
+    in parallel; chunks on one drive are serialised in run order.  The
+    operation's service window lands in {!window}.  Allocates nothing:
+    the engine's synchronous hot path uses this. *)
+
+val window : t -> float array
+(** Service window of the last synchronous operation, unboxed: [.(0)]
+    when its first byte started moving (after any queueing behind
+    earlier operations), [.(1)] when its last drive completed.
+    Read-only for callers. *)
+
+val service : t -> now:float -> kind:kind -> extents:(int * int) list -> service
+(** {!serve_runs} on a list of [(offset, bytes)] extents, returning the
+    window as a record. *)
 
 val access : t -> now:float -> kind:kind -> extents:(int * int) list -> float
 (** [access t ~now ~kind ~extents] is [(service t ...).finished]. *)
-
-val serve_extents : t -> now:float -> kind:kind -> extents:(int * int) list -> unit
-(** Allocation-free {!service}: performs the operation and leaves its
-    window in {!last_began} / {!last_finished} instead of returning a
-    record.  The engine's synchronous hot path uses this. *)
-
-val last_began : t -> float
-(** [began] of the last {!serve_extents} / {!service} operation. *)
-
-val last_finished : t -> float
-(** [finished] of the last {!serve_extents} / {!service} operation. *)
 
 val time_of : t -> kind:kind -> extents:(int * int) list -> float
 (** Duration [access] would take on an otherwise idle, just-reset,
@@ -173,15 +174,15 @@ val complete : t -> drive:int -> completion * dispatched option
 
 (** {2 Allocation-free dispatch surface}
 
-    {!submit_flat} / {!complete_flat} are {!submit} / {!complete} minus
-    the per-call [dispatched] records: the requests started by the last
-    call sit in an internal flat buffer read through the
-    [dispatched_*] accessors (valid indices are
-    [0 .. dispatched_len - 1], until the next [submit_flat] /
+    {!submit_runs} / {!complete_flat} are {!submit} / {!complete} minus
+    the extent list and the per-call [dispatched] records: the requests
+    started by the last call sit in an internal flat buffer read through
+    the [dispatched_*] accessors (valid indices are
+    [0 .. dispatched_len - 1], until the next [submit_runs] /
     [complete_flat] on this array).  Observationally identical to the
-    list-returning calls — same dispatch order, same clocks. *)
+    list-taking calls — same dispatch order, same clocks. *)
 
-val submit_flat : t -> now:float -> kind:kind -> extents:(int * int) list -> op
+val submit_runs : t -> now:float -> kind:kind -> Rofs_util.Runs.t -> op
 
 val complete_flat : t -> drive:int -> op
 (** Returns the operation the retired request belonged to (check

@@ -120,15 +120,15 @@ let pop t =
    data; per-drive RNG streams restore in place so any aliases held by
    the caller stay valid. *)
 let ckpt_save t =
-  Marshal.to_string (t.script, Array.map Rng.copy t.rngs, t.next) []
+  Marshal.to_string (t.script, Array.map Rng.save t.rngs, t.next) []
 
 let ckpt_load t blob =
   let script, rngs, next =
     (Marshal.from_string blob 0
-      : (float * action) list * Rng.t array * (float * action) array)
+      : (float * action) list * Rng.state array * (float * action) array)
   in
   t.script <- script;
-  Array.iteri (fun d src -> Rng.assign ~dst:t.rngs.(d) ~src) rngs;
+  Array.iteri (fun d s -> Rng.restore ~dst:t.rngs.(d) s) rngs;
   Array.blit next 0 t.next 0 (Array.length t.next)
 
 let pp_action ppf = function

@@ -185,7 +185,7 @@ let ckpt_save t =
   Marshal.to_string
     ( t.statuses,
       t.impaired,
-      Rng.copy t.media_rng,
+      Rng.save t.media_rng,
       t.remapped,
       t.dirty,
       t.dirty_total,
@@ -213,7 +213,7 @@ let ckpt_load t blob =
     (Marshal.from_string blob 0
       : status array
         * int
-        * Rng.t
+        * Rng.state
         * (int, unit) Hashtbl.t array
         * (int * int) list array
         * int
@@ -226,7 +226,7 @@ let ckpt_load t blob =
   in
   Array.blit statuses 0 t.statuses 0 (Array.length t.statuses);
   t.impaired <- impaired;
-  Rng.assign ~dst:t.media_rng ~src:media_rng;
+  Rng.restore ~dst:t.media_rng media_rng;
   Array.iteri (fun i tbl -> t.remapped.(i) <- tbl) remapped;
   Array.iteri (fun i l -> t.dirty.(i) <- l) dirty;
   t.dirty_total <- dirty_total;

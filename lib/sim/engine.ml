@@ -1,6 +1,7 @@
 module Rng = Rofs_util.Rng
 module Dist = Rofs_util.Dist
 module Heap = Rofs_util.Heap
+module Runs = Rofs_util.Runs
 module Stats = Rofs_util.Stats
 module Sched_policy = Rofs_sched.Policy
 module Fault_plan = Rofs_fault.Plan
@@ -320,6 +321,7 @@ type t = {
   mutable alloc_ops : int;
   mutable bytes_completed : int;
   mutable meta_bytes : int;
+  meta_runs : Runs.t;  (** the descriptor write-back's run *)
   mutable rebuild_ios : int;
   mutable data_loss : int;
   cache : Cache.t option;
@@ -724,6 +726,7 @@ let make cfg ~policy ~workload ~with_users =
       alloc_ops = 0;
       bytes_completed = 0;
       meta_bytes = 0;
+      meta_runs = Runs.create ();
       rebuild_ios = 0;
       data_loss = 0;
       cache = Option.map (fun c -> Cache.create ~ntypes:(Array.length types) c) cfg.cache;
@@ -823,13 +826,14 @@ let post_dispatched t ~credit =
    as lost and completes immediately — the simulated application gets an
    I/O error, not the simulator. *)
 let do_io_raw t ~kind ~file ~off ~len =
-  let extents = Volume.slice_bytes t.volume ~file ~off ~len in
-  if extents = [] then Done t.now
+  let runs = Volume.slice_bytes t.volume ~file ~off ~len in
+  if Runs.length runs = 0 then Done t.now
   else if not (queued t) then begin
-    let physical = List.fold_left (fun acc (_, l) -> acc + l) 0 extents in
-    Array_model.serve_extents t.array ~now:t.now ~kind ~extents;
-    let began = Array_model.last_began t.array in
-    let finished = Array_model.last_finished t.array in
+    let physical = Runs.total_len runs in
+    Array_model.serve_runs t.array ~now:t.now ~kind runs;
+    let window = Array_model.window t.array in
+    let began = window.(0) in
+    let finished = window.(1) in
     t.io_ops <- t.io_ops + 1;
     (match t.obs with
     | None -> ()
@@ -867,7 +871,7 @@ let do_io_raw t ~kind ~file ~off ~len =
     Done finished
   end
   else begin
-    let op = Array_model.submit_flat t.array ~now:t.now ~kind ~extents in
+    let op = Array_model.submit_runs t.array ~now:t.now ~kind runs in
     t.io_ops <- t.io_ops + 1;
     post_dispatched t ~credit:true;
     if Array_model.op_done op then Done (Array_model.op_finished op) else Wait op
@@ -894,6 +898,19 @@ let record_cache_outcome t (o : Cache.outcome) =
       Sink.record_cache_op sink ~hits:o.Cache.o_page_hits ~misses:o.Cache.o_page_misses
         ~evictions:o.Cache.o_evictions ~prefetched:o.Cache.o_prefetched
 
+(* Write [runs] to disk with nobody waiting and no throughput credit;
+   the queued path routes it through the dispatch queues like
+   everything else. *)
+let write_uncredited t runs =
+  let kind = Array_model.Write in
+  try
+    if not (queued t) then Array_model.serve_runs t.array ~now:t.now ~kind runs
+    else begin
+      ignore (Array_model.submit_runs t.array ~now:t.now ~kind runs : Array_model.op);
+      post_dispatched t ~credit:false
+    end
+  with Fault.Data_loss _ -> t.data_loss <- t.data_loss + 1
+
 (* Push one coalesced dirty-page run to disk.  Nobody waits on cache
    write-back and its bytes were already credited when the application's
    write was absorbed, so — like metadata write-back — it occupies the
@@ -901,22 +918,11 @@ let record_cache_outcome t (o : Cache.outcome) =
    queues like everything else. *)
 let submit_writeback t (run : Cache.run) =
   if Volume.file_exists t.volume ~file:run.Cache.r_file then begin
-    let extents =
+    let runs =
       Volume.slice_bytes t.volume ~file:run.Cache.r_file ~off:run.Cache.r_off
         ~len:run.Cache.r_len
     in
-    if extents <> [] then begin
-      try
-        if not (queued t) then
-          Array_model.serve_extents t.array ~now:t.now ~kind:Array_model.Write ~extents
-        else begin
-          ignore
-            (Array_model.submit_flat t.array ~now:t.now ~kind:Array_model.Write ~extents
-              : Array_model.op);
-          post_dispatched t ~credit:false
-        end
-      with Fault.Data_loss _ -> t.data_loss <- t.data_loss + 1
-    end
+    if Runs.length runs > 0 then write_uncredited t runs
   end
 
 let submit_writebacks t ~kind runs =
@@ -1090,21 +1096,11 @@ let charge_metadata t ~file ~new_extents =
     let capacity = Array_model.capacity_bytes t.array in
     let meta_units = ((new_extents - 1) / records_per_meta_unit) + 1 in
     let slot = (file * 2654435761) land max_int mod ((capacity / unit) - meta_units) in
-    let extents = [ (slot * unit, meta_units * unit) ] in
+    Runs.clear t.meta_runs;
+    Runs.push t.meta_runs ~addr:(slot * unit) ~len:(meta_units * unit);
     (* Nobody waits on descriptor write-back and it is not credited as
-       data throughput, but it still occupies the drives: the queued
-       path routes it through the dispatch queues like everything
-       else. *)
-    (try
-       if not (queued t) then
-         Array_model.serve_extents t.array ~now:t.now ~kind:Array_model.Write ~extents
-       else begin
-         ignore
-           (Array_model.submit_flat t.array ~now:t.now ~kind:Array_model.Write ~extents
-             : Array_model.op);
-         post_dispatched t ~credit:false
-       end
-     with Fault.Data_loss _ -> t.data_loss <- t.data_loss + 1);
+       data throughput, but it still occupies the drives. *)
+    write_uncredited t t.meta_runs;
     t.meta_bytes <- t.meta_bytes + (meta_units * unit)
   end
 
@@ -1695,8 +1691,8 @@ let run_sequential_test t =
    records they did before the restore. *)
 type engine_ckpt = {
   ck_now : float;
-  ck_rng : Rng.t;
-  ck_users : (Rng.t * int * int * int * int) array;
+  ck_rng : Rng.state;
+  ck_users : (Rng.state * int * int * int * int) array;
       (** per user: rng, file, seq_offset, read_ahead_until, write_behind_until *)
   ck_heap_prios : float array;
   ck_heap_events : (int * int) array;
@@ -1810,11 +1806,11 @@ let checkpoint t =
   let ck =
     {
       ck_now = t.now;
-      ck_rng = Rng.copy t.rng;
+      ck_rng = Rng.save t.rng;
       ck_users =
         Array.map
           (fun (u : user) ->
-            (Rng.copy u.rng, u.file, u.seq_offset, u.read_ahead_until, u.write_behind_until))
+            (Rng.save u.rng, u.file, u.seq_offset, u.read_ahead_until, u.write_behind_until))
           t.users;
       ck_heap_prios = prios;
       ck_heap_events = Array.map (encode_event t) events;
@@ -1905,11 +1901,11 @@ let restore t sections =
   | Some _, None -> invalid_arg "snapshot: the original run had no timeline attached"
   | None, Some _ -> invalid_arg "snapshot: the original run had a timeline attached");
   t.now <- ck.ck_now;
-  Rng.assign ~dst:t.rng ~src:ck.ck_rng;
+  Rng.restore ~dst:t.rng ck.ck_rng;
   Array.iteri
     (fun i (rng, file, seq_offset, read_ahead_until, write_behind_until) ->
       let u = t.users.(i) in
-      Rng.assign ~dst:u.rng ~src:rng;
+      Rng.restore ~dst:u.rng rng;
       u.file <- file;
       u.seq_offset <- seq_offset;
       u.read_ahead_until <- read_ahead_until;

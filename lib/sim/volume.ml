@@ -1,5 +1,6 @@
 module Policy = Rofs_alloc.Policy
 module Vec = Rofs_util.Vec
+module Runs = Rofs_util.Runs
 
 type file_info = {
   type_idx : int;
@@ -13,6 +14,7 @@ type t = {
   by_type : int Vec.t array;
   mutable next_id : int;
   mutable total_logical : int;
+  runs : Runs.t;  (** [slice_bytes]'s result buffer *)
 }
 
 let create policy ~ntypes =
@@ -22,14 +24,16 @@ let create policy ~ntypes =
     by_type = Array.init ntypes (fun _ -> Vec.create ());
     next_id = 0;
     total_logical = 0;
+    runs = Runs.create ();
   }
 
 let policy t = t.policy
 
 let info t file =
-  match Hashtbl.find_opt t.files file with
-  | Some i -> i
-  | None -> invalid_arg "Volume: unknown file"
+  (* [find], not [find_opt]: no option is allocated per lookup. *)
+  match Hashtbl.find t.files file with
+  | i -> i
+  | exception Not_found -> invalid_arg "Volume: unknown file"
 
 let create_file t ~type_idx ~hint_bytes =
   let id = t.next_id in
@@ -93,16 +97,17 @@ let live_files t = Hashtbl.fold (fun id _ acc -> id :: acc) t.files []
 
 let slice_bytes t ~file ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Volume.slice_bytes";
-  if len = 0 then []
-  else begin
+  Runs.clear t.runs;
+  if len > 0 then begin
     let ub = t.policy.Policy.unit_bytes in
     let first_unit = off / ub in
     let last_unit = (off + len - 1) / ub in
-    let extents = t.policy.Policy.slice ~file ~off:first_unit ~len:(last_unit - first_unit + 1) in
-    List.map
-      (fun e -> (e.Rofs_alloc.Extent.addr * ub, e.Rofs_alloc.Extent.len * ub))
-      extents
-  end
+    let units = t.policy.Policy.slice ~file ~off:first_unit ~len:(last_unit - first_unit + 1) in
+    for i = 0 to Runs.length units - 1 do
+      Runs.push t.runs ~addr:(Runs.addr units i * ub) ~len:(Runs.len units i * ub)
+    done
+  end;
+  t.runs
 
 let total_bytes t = Policy.bytes_of_units t.policy t.policy.Policy.total_units
 let free_bytes t = Policy.bytes_of_units t.policy (t.policy.Policy.free_units ())

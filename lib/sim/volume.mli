@@ -42,10 +42,11 @@ val random_file : t -> Rofs_util.Rng.t -> type_idx:int -> int option
 val file_count : t -> type_idx:int -> int
 val live_files : t -> int list
 
-val slice_bytes : t -> file:int -> off:int -> len:int -> (int * int) list
+val slice_bytes : t -> file:int -> off:int -> len:int -> Rofs_util.Runs.t
 (** Physical [(byte_offset, byte_length)] runs backing the logical byte
     range [off .. off+len), unit-aligned (the disk moves whole units),
-    clamped to the allocated length. *)
+    clamped to the allocated length.  The buffer is the volume's own and
+    is refilled by the next call. *)
 
 val used_bytes : t -> int
 (** Bytes allocated to files (policy view). *)

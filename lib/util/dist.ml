@@ -1,6 +1,9 @@
+(* [Rng.float], computed here from its bits so the draw does not box. *)
+let[@inline] unit_float rng = float_of_int (Rng.bits53 rng) *. 0x1.0p-53
+
 let uniform rng ~lo ~hi =
   assert (lo <= hi);
-  lo +. ((hi -. lo) *. Rng.float rng)
+  lo +. ((hi -. lo) *. unit_float rng)
 
 let uniform_mean_dev rng ~mean ~dev =
   let v = uniform rng ~lo:(mean -. dev) ~hi:(mean +. dev) in
@@ -9,15 +12,15 @@ let uniform_mean_dev rng ~mean ~dev =
 let exponential rng ~mean =
   assert (mean > 0.);
   (* Inverse CDF; 1 - u avoids log 0. *)
-  -.mean *. log (1. -. Rng.float rng)
+  -.mean *. log (1. -. unit_float rng)
 
 let normal rng ~mean ~std =
   let rec nonzero () =
-    let u = Rng.float rng in
+    let u = unit_float rng in
     if u > 0. then u else nonzero ()
   in
   let u1 = nonzero () in
-  let u2 = Rng.float rng in
+  let u2 = unit_float rng in
   let z = sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2) in
   mean +. (std *. z)
 

@@ -1,8 +1,18 @@
 (* xoshiro256** 1.0 (Blackman & Vigna).  State is four non-zero 64-bit
    words; seeding runs the 64-bit splitmix generator over the user seed so
-   that small seeds still yield well-mixed states. *)
+   that small seeds still yield well-mixed states.
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+   The words live little-endian in a 32-byte [Bytes.t]: [Bytes.get/set_int64_le]
+   read and write them unboxed, where a [mutable int64] record field would
+   box every store.  [step] is inlined into each draw, so [int] and [bool]
+   allocate nothing and [float] only its boxed result. *)
+
+type t = Bytes.t
+
+type state = { s0 : int64; s1 : int64; s2 : int64; s3 : int64 }
+
+let[@inline] get t i = Bytes.get_int64_le t (8 * i)
+let[@inline] set t i w = Bytes.set_int64_le t (8 * i) w
 
 let splitmix64 state =
   let open Int64 in
@@ -12,21 +22,23 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create ~seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+(* Four consecutive splitmix64 outputs, in order, as the state words. *)
+let of_splitmix state =
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set t i (splitmix64 state)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create ~seed = of_splitmix (ref (Int64.of_int seed))
+let copy = Bytes.copy
+let save t = { s0 = get t 0; s1 = get t 1; s2 = get t 2; s3 = get t 3 }
 
-let assign ~dst ~src =
-  dst.s0 <- src.s0;
-  dst.s1 <- src.s1;
-  dst.s2 <- src.s2;
-  dst.s3 <- src.s3
+let restore ~dst s =
+  set dst 0 s.s0;
+  set dst 1 s.s1;
+  set dst 2 s.s2;
+  set dst 3 s.s3
 
 let derive_seed ~seed ~stream =
   (* Mix the pair through splitmix64 so that (seed, 0), (seed, 1), ...
@@ -39,53 +51,53 @@ let derive_seed ~seed ~stream =
   let b = splitmix64 state in
   Int64.to_int (Int64.shift_right_logical b 1)
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] step t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set t 0 (logxor s0 s3);
+  set t 1 (logxor s1 s2);
+  set t 2 (logxor s2 (shift_left s1 17));
+  set t 3 (rotl s3 45);
   result
+
+let bits64 t = step t
 
 let split t =
   (* Seed the child from two parent outputs; mixing through splitmix64
      decorrelates the child stream from subsequent parent outputs. *)
-  let state = ref (Int64.logxor (bits64 t) (rotl (bits64 t) 23)) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let rotated = step t in
+  let plain = step t in
+  of_splitmix (ref (Int64.logxor plain (rotl rotated 23)))
 
-let float t =
-  (* 53 high bits give a uniform double in [0,1). *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. 0x1.0p-53
+let bits53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
+
+(* 53 high bits give a uniform double in [0,1). *)
+let float t = float_of_int (bits53 t) *. 0x1.0p-53
 
 let int t n =
   assert (n > 0);
   if n = 1 then 0
   else begin
     (* Rejection sampling over the low bits to avoid modulo bias. *)
-    let mask =
-      let rec widen m = if m >= n - 1 then m else widen ((m lsl 1) lor 1) in
-      widen 1
-    in
-    let rec draw () =
-      let v = Int64.to_int (Int64.logand (bits64 t) (Int64.of_int mask)) in
-      if v < n then v else draw ()
-    in
-    draw ()
+    let mask = ref 1 in
+    while !mask < n - 1 do
+      mask := (!mask lsl 1) lor 1
+    done;
+    let mask = Int64.of_int !mask in
+    let v = ref (Int64.to_int (Int64.logand (step t) mask)) in
+    while !v >= n do
+      v := Int64.to_int (Int64.logand (step t) mask)
+    done;
+    !v
   end
 
 let int_in t ~lo ~hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.equal (Int64.logand (step t) 1L) 1L

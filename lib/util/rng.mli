@@ -18,12 +18,21 @@ val copy : t -> t
 (** [copy t] is an independent generator starting from [t]'s current
     state. *)
 
-val assign : dst:t -> src:t -> unit
-(** [assign ~dst ~src] overwrites [dst]'s state with [src]'s in place,
-    so every alias of [dst] continues the stream from [src]'s position.
-    This is the checkpoint-restore primitive: engine subsystems hold
-    references to their generators, and restoring must not replace the
-    record they share. *)
+type state = { s0 : int64; s1 : int64; s2 : int64; s3 : int64 }
+(** The four state words as a plain record: the checkpoint form.  Its
+    marshalled bytes are those of the record the generator itself was
+    before its state moved into unboxed storage, so snapshots keep their
+    bytes and old snapshots still load. *)
+
+val save : t -> state
+(** [save t] is [t]'s current state. *)
+
+val restore : dst:t -> state -> unit
+(** [restore ~dst s] overwrites [dst]'s state with [s] in place, so
+    every alias of [dst] continues the stream from [s].  This is the
+    checkpoint-restore primitive: engine subsystems hold references to
+    their generators, and restoring must not replace the value they
+    share. *)
 
 val derive_seed : seed:int -> stream:int -> int
 (** [derive_seed ~seed ~stream] maps a (seed, stream-index) pair to a
@@ -38,7 +47,14 @@ val split : t -> t
     draws seen by another. *)
 
 val bits64 : t -> int64
-(** Next raw 64-bit output word. *)
+(** Next raw 64-bit output word.  The [int64] result is boxed; hot
+    paths use the typed draws below. *)
+
+val bits53 : t -> int
+(** The 53 high bits of the next output word, as a non-negative int.
+    [float t] is [float_of_int (bits53 t) *. 0x1.0p-53] exactly; callers
+    that scale the draw compute it themselves, so no float crosses the
+    module boundary boxed. *)
 
 val float : t -> float
 (** [float t] is uniform in [\[0, 1)]. *)

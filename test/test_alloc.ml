@@ -11,6 +11,7 @@ module Restricted_buddy = Core.Restricted_buddy
 module Extent_alloc = Core.Extent_alloc
 module Fixed_block = Core.Fixed_block
 module Rng = Core.Rng
+module Runs = Core.Runs
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -90,12 +91,18 @@ let test_file_extents_push_pop () =
   check_bool "pop" true (File_extents.pop fx = Some (Extent.make ~addr:10 ~len:2));
   check_int "allocated after pop" 4 (File_extents.allocated_units fx)
 
+(* [File_extents.slice] as an [(addr, len)] list. *)
+let slice_list fx ~off ~len =
+  let runs = Runs.create () in
+  File_extents.slice fx ~off ~len runs;
+  Runs.to_list runs
+
 let test_file_extents_slice_within_one () =
   let fx = File_extents.create () in
   File_extents.push fx (Extent.make ~addr:100 ~len:10);
   Alcotest.(check (list (pair int int)))
     "middle slice" [ (103, 4) ]
-    (File_extents.slice fx ~off:3 ~len:4 |> List.map (fun e -> (e.Extent.addr, e.Extent.len)))
+    (slice_list fx ~off:3 ~len:4)
 
 let test_file_extents_slice_spanning () =
   let fx = File_extents.create () in
@@ -106,16 +113,16 @@ let test_file_extents_slice_spanning () =
   Alcotest.(check (list (pair int int)))
     "spanning slice"
     [ (2, 2); (100, 4); (200, 2) ]
-    (File_extents.slice fx ~off:2 ~len:8 |> List.map (fun e -> (e.Extent.addr, e.Extent.len)))
+    (slice_list fx ~off:2 ~len:8)
 
 let test_file_extents_slice_clamps () =
   let fx = File_extents.create () in
   File_extents.push fx (Extent.make ~addr:0 ~len:4);
-  check_bool "beyond end" true (File_extents.slice fx ~off:10 ~len:5 = []);
+  check_bool "beyond end" true (slice_list fx ~off:10 ~len:5 = []);
   Alcotest.(check (list (pair int int)))
     "clamped" [ (2, 2) ]
-    (File_extents.slice fx ~off:2 ~len:100 |> List.map (fun e -> (e.Extent.addr, e.Extent.len)));
-  check_bool "zero length" true (File_extents.slice fx ~off:0 ~len:0 = [])
+    (slice_list fx ~off:2 ~len:100);
+  check_bool "zero length" true (slice_list fx ~off:0 ~len:0 = [])
 
 let prop_file_extents_slice_covers =
   QCheck.Test.make ~name:"slice covers exactly the requested range" ~count:200
@@ -129,8 +136,8 @@ let prop_file_extents_slice_covers =
          unambiguous. *)
       List.iteri (fun i l -> File_extents.push fx (Extent.make ~addr:(i * 1000) ~len:l)) lens;
       let total = File_extents.allocated_units fx in
-      let slice = File_extents.slice fx ~off ~len in
-      let covered = List.fold_left (fun acc e -> acc + e.Extent.len) 0 slice in
+      let slice = slice_list fx ~off ~len in
+      let covered = List.fold_left (fun acc (_, l) -> acc + l) 0 slice in
       let expected = max 0 (min (off + len) total - min off total) in
       covered = expected)
 
@@ -744,9 +751,7 @@ let test_lfs_relocation_preserves_logical_order () =
   check_int "length preserved through relocation" logical_len
     (p.Policy.allocated_units ~file:2);
   (* slice still covers the whole range exactly *)
-  let covered =
-    List.fold_left (fun a e -> a + e.Extent.len) 0 (p.Policy.slice ~file:2 ~off:0 ~len:logical_len)
-  in
+  let covered = Runs.total_len (p.Policy.slice ~file:2 ~off:0 ~len:logical_len) in
   check_int "slice covers file" logical_len covered
 
 let test_lfs_disk_full () =

@@ -19,7 +19,10 @@
    - refusal: mismatched configuration, missing sections and recording
      engines are refused with Invalid_argument, never a wrong answer;
    - trace codec: truncations and bit flips of a binary trace never
-     raise out of Codec.decode.
+     raise out of Codec.decode;
+   - snapshot layout: the encoded snapshots of one armed run per array
+     layout, on both I/O paths and with media faults, match frozen
+     digests, so checkpoint sections keep their bytes.
 
    All determinism claims are armed-vs-armed: periodic Ckpt_tick events
    perturb equal-priority heap ordering relative to an unarmed run, so
@@ -502,7 +505,7 @@ let refused_as_snapshot_error f =
 type extent_section = {
   ck_free : (int * int) list;
   ck_files : (int * int * (int * int) list) list;
-  ck_rng : C.Rng.t;
+  ck_rng : C.Rng.state;
   ck_user_units : int;
 }
 
@@ -513,7 +516,7 @@ let test_extent_section_validated () =
   let hostile sec =
     "rofs-extent-alloc-v1\n" ^ Marshal.to_string (sec : extent_section) [ Marshal.No_sharing ]
   in
-  let rng = C.Rng.create ~seed:1 in
+  let rng = C.Rng.save (C.Rng.create ~seed:1) in
   let base = { ck_free = [ (0, 4096) ]; ck_files = []; ck_rng = rng; ck_user_units = 0 } in
   List.iter
     (fun (name, blob) ->
@@ -727,15 +730,84 @@ let test_trace_codec_corruption () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Snapshot bytes pinned per array layout                              *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of every periodic snapshot's encoded bytes, folded over one armed
+   restricted-buddy MINI-TP run.  The cells cover the synchronous and
+   the queued path, every array layout, and media faults, whose stalls
+   decide which boxed clocks a snapshot shares.  The digests were
+   captured when RNG states and drive clocks were record fields, so the
+   checkpoint forms that replaced them ([Rng.state], [Drive.saved]) must
+   marshal exactly as those records did. *)
+let media =
+  {
+    C.Fault_plan.none with
+    media_error_rate = 0.05;
+    retry_fail_prob = 0.3;
+    max_retries = 2;
+    remap_penalty_ms = 5.;
+  }
+
+let layout_cells =
+  let striped su = C.Array_model.Striped { stripe_unit = su } in
+  [
+    ("fcfs striped media", C.Sched_policy.Fcfs, striped, media);
+    ("clook striped", C.Sched_policy.Clook, striped, C.Fault_plan.none);
+    ("clook striped media", C.Sched_policy.Clook, striped, media);
+    ( "sstf mirrored media",
+      C.Sched_policy.Sstf,
+      (fun su -> C.Array_model.Mirrored { stripe_unit = su }),
+      media );
+    ( "clook raid5 media",
+      C.Sched_policy.Clook,
+      (fun su -> C.Array_model.Raid5 { stripe_unit = su }),
+      media );
+    ("scan parity media", C.Sched_policy.Scan, (fun _ -> C.Array_model.Parity_striped), media);
+  ]
+
+let snapshot_digest (scheduler, array_config, faults) =
+  let config = { ckpt_config with Engine.disks = 8; scheduler; array_config; faults } in
+  let engine = Experiment.make_engine ~config (spec_of "restricted") mini_tp in
+  let digests = Buffer.create 1024 in
+  Engine.set_checkpoint engine ~every_ms (fun () ->
+      Buffer.add_string digests (Digest.string (Ckpt.encode (Engine.checkpoint engine))));
+  Engine.fill_to_lower_bound engine;
+  ignore (Engine.run_application_test engine : Engine.throughput_report);
+  Digest.to_hex (Digest.string (Buffer.contents digests))
+
+let layout_goldens =
+  [
+    ("fcfs striped media", "3fd40db228152e64b950ea2cbb14ea0d");
+    ("clook striped", "37758795dea105760fc588075d9a0620");
+    ("clook striped media", "a350e132b91e3ce343b4df61d5cfe375");
+    ("sstf mirrored media", "d50b03ff5879f5835939788a26e909bf");
+    ("clook raid5 media", "f8ca1869bf696413d14be74455f891f6");
+    ("scan parity media", "80506713bb6f503576401be6978c6313");
+  ]
+
+let test_snapshot_layout_golden () =
+  List.iter
+    (fun (name, scheduler, array_config, faults) ->
+      Alcotest.(check string) name (List.assoc name layout_goldens)
+        (snapshot_digest (scheduler, array_config, faults)))
+    layout_cells
+
+(* ------------------------------------------------------------------ *)
 
 let capture_goldens () =
-  (* regenerate the [armed_goldens] table (see header comment) *)
+  (* regenerate the [armed_goldens] and [layout_goldens] tables (see
+     header comment) *)
   List.iter
     (fun (pname, w) ->
       let app, seq, _, _ = run_armed_sampled (spec_of pname) w in
       Printf.printf "    ((%S, %S), (%h, %h));\n" pname w.Workload.name
         app.Engine.pct_of_max seq.Engine.pct_of_max)
-    cells
+    cells;
+  List.iter
+    (fun (name, scheduler, array_config, faults) ->
+      Printf.printf "    (%S, %S);\n" name (snapshot_digest (scheduler, array_config, faults)))
+    layout_cells
 
 let () =
   if Sys.getenv_opt "ROFS_GOLDEN_CAPTURE" <> None then capture_goldens ()
@@ -774,4 +846,5 @@ let () =
           ] );
         ( "trace codec",
           [ quick "corrupt traces never raise" test_trace_codec_corruption ] );
+        ("layout", [ quick "snapshot bytes pinned per array layout" test_snapshot_layout_golden ]);
       ]

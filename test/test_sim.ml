@@ -99,7 +99,7 @@ let test_volume_slice_bytes_unit_rounding () =
   let f = Volume.create_file v ~type_idx:0 ~hint_bytes:4096 in
   ignore (Volume.grow v ~file:f ~bytes:8192);
   (* 100 bytes at offset 100 lie inside the first 1K unit *)
-  match Volume.slice_bytes v ~file:f ~off:100 ~len:100 with
+  match C.Runs.to_list (Volume.slice_bytes v ~file:f ~off:100 ~len:100) with
   | [ (off, len) ] ->
       check_int "unit-aligned offset" 0 off;
       check_int "one unit" 1024 len

@@ -13,11 +13,12 @@
      is byte-identical to Experiment.run_throughput, field for field;
    - instrumented runs: attaching per-slice sinks (with tracing) merges
      to the same Sink JSON at every shard count;
-   - hot-path allocation: a queued-path (SSTF) run is bounded in minor
-     words allocated per simulated operation — the regression guard for
-     the engine's preallocated-scratch / pooled-event design — and
-     extent first-fit churn on a shattered volume is bounded in minor
-     words per extent claimed or released;
+   - hot-path allocation: a queued-path (SSTF) run and a default
+     synchronous FCFS run are bounded in minor words allocated per
+     simulated operation — the regression guard for the engine's
+     preallocated-scratch / pooled-event design — and extent first-fit
+     churn on a shattered volume is bounded in minor words per extent
+     claimed or released;
    - validation: --shards 0 style misuse raises Invalid_argument, and
      Workload.partition's arithmetic invariants hold.
 
@@ -400,6 +401,41 @@ let test_hot_path_allocation_budget () =
     Alcotest.failf "hot path allocates %.1f minor words per op (budget 900)" per_op
 
 (* ------------------------------------------------------------------ *)
+(* Hot-path allocation budget (default synchronous FCFS path)          *)
+(* ------------------------------------------------------------------ *)
+
+(* Restricted buddy on the default 8-drive striped array, FCFS, no
+   cache, no sink: the path the paper's figures run.  Minor words per
+   application-test I/O, over a fixed two-minute horizon. *)
+let test_fcfs_allocation_budget () =
+  let config =
+    {
+      Engine.default_config with
+      seed = 7;
+      max_measure_ms = 120_000.;
+      stable_windows = 1_000;
+    }
+  in
+  let spec = List.assoc "restricted" (policies mini_tp) in
+  let engine = Experiment.make_engine ~config spec mini_tp in
+  Engine.fill_to_lower_bound engine;
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  let report = Engine.run_application_test engine in
+  let words = Gc.minor_words () -. before in
+  check_bool "run did real work" true (report.Engine.io_ops > 5_000);
+  let per_op = words /. float_of_int report.Engine.io_ops in
+  (* ~33 words per I/O on this cell (~9.9k I/Os); ~311 before the RNG
+     kept its state unboxed, the drives their clocks in float arrays and
+     extents reached the array as int pairs in reused buffers.  What
+     remains is the engine's per-operation bookkeeping (outcome values,
+     think-time and event-heap floats).  The budget has ~50% headroom; a
+     boxed RNG word, a float clock in a mixed record or a per-I/O extent
+     list blows well past it. *)
+  if per_op > 50. then
+    Alcotest.failf "FCFS path allocates %.1f minor words per I/O (budget 50)" per_op
+
+(* ------------------------------------------------------------------ *)
 (* Alloc-only allocation budget (extent first fit, shattered volume)   *)
 (* ------------------------------------------------------------------ *)
 
@@ -573,6 +609,7 @@ let () =
         ( "hot path",
           [
             slow "minor words per op bounded" test_hot_path_allocation_budget;
+            slow "FCFS minor words per op bounded" test_fcfs_allocation_budget;
             slow "alloc-only minor words per extent bounded" test_alloc_only_allocation_budget;
           ] );
         ( "validation",

@@ -101,6 +101,165 @@ let test_rng_uniformity () =
         (abs (c - expected) < expected / 5))
     buckets
 
+(* Reference model: the record-based xoshiro256** the generator was
+   before its state moved into a [Bytes.t], kept verbatim.  Every draw
+   of [Rng] must equal this model's bit for bit ([bits53] being the top
+   53 bits of [bits64]), and [Rng.save] must marshal exactly as this
+   record does. *)
+module Old_rng = struct
+  type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+
+  let splitmix64 state =
+    let open Int64 in
+    state := add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let create ~seed =
+    let state = ref (Int64.of_int seed) in
+    let s0 = splitmix64 state in
+    let s1 = splitmix64 state in
+    let s2 = splitmix64 state in
+    let s3 = splitmix64 state in
+    { s0; s1; s2; s3 }
+
+  let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let bits64 t =
+    let open Int64 in
+    let result = mul (rotl (mul t.s1 5L) 7) 9L in
+    let tmp = shift_left t.s1 17 in
+    t.s2 <- logxor t.s2 t.s0;
+    t.s3 <- logxor t.s3 t.s1;
+    t.s1 <- logxor t.s1 t.s2;
+    t.s0 <- logxor t.s0 t.s3;
+    t.s2 <- logxor t.s2 tmp;
+    t.s3 <- rotl t.s3 45;
+    result
+
+  let split t =
+    let state = ref (Int64.logxor (bits64 t) (rotl (bits64 t) 23)) in
+    let s0 = splitmix64 state in
+    let s1 = splitmix64 state in
+    let s2 = splitmix64 state in
+    let s3 = splitmix64 state in
+    { s0; s1; s2; s3 }
+
+  let float t =
+    let bits = Int64.shift_right_logical (bits64 t) 11 in
+    Int64.to_float bits *. 0x1.0p-53
+
+  let int t n =
+    assert (n > 0);
+    if n = 1 then 0
+    else begin
+      let mask =
+        let rec widen m = if m >= n - 1 then m else widen ((m lsl 1) lor 1) in
+        widen 1
+      in
+      let rec draw () =
+        let v = Int64.to_int (Int64.logand (bits64 t) (Int64.of_int mask)) in
+        if v < n then v else draw ()
+      in
+      draw ()
+    end
+
+  let int_in t ~lo ~hi =
+    assert (lo <= hi);
+    lo + int t (hi - lo + 1)
+
+  let bool t = Int64.logand (bits64 t) 1L = 1L
+end
+
+(* One draw of each kind, applied to both generators; [Split] swaps
+   both to their children, so later draws check the child streams. *)
+type rng_op = Bits | Bits53 | Float | Int of int | Int_in of int * int | Bool | Split
+
+let rng_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Bits);
+        (2, return Bits53);
+        (3, return Float);
+        ( 3,
+          map (fun n -> Int n)
+            (oneof [ int_range 1 40; int_range 1 1_000_000; int_range 1 max_int ]) );
+        (2, map2 (fun lo span -> Int_in (lo, lo + span)) (int_range (-1000) 1000) (int_bound 5000));
+        (2, return Bool);
+        (1, return Split);
+      ])
+
+let prop_rng_matches_reference =
+  let show = function
+    | Bits -> "bits"
+    | Bits53 -> "bits53"
+    | Float -> "float"
+    | Int n -> Printf.sprintf "int %d" n
+    | Int_in (lo, hi) -> Printf.sprintf "int_in %d %d" lo hi
+    | Bool -> "bool"
+    | Split -> "split"
+  in
+  QCheck.Test.make ~name:"every draw equals the record-based reference" ~count:300
+    QCheck.(
+      pair int
+        (make
+           ~print:(fun l -> String.concat "; " (List.map show l))
+           Gen.(list_size (int_range 1 200) rng_op_gen)))
+    (fun (seed, ops) ->
+      let r = ref (Rng.create ~seed) and o = ref (Old_rng.create ~seed) in
+      List.for_all
+        (fun op ->
+          match op with
+          | Bits -> Int64.equal (Rng.bits64 !r) (Old_rng.bits64 !o)
+          | Bits53 ->
+              Rng.bits53 !r = Int64.to_int (Int64.shift_right_logical (Old_rng.bits64 !o) 11)
+          | Float ->
+              Int64.equal
+                (Int64.bits_of_float (Rng.float !r))
+                (Int64.bits_of_float (Old_rng.float !o))
+          | Int n -> Rng.int !r n = Old_rng.int !o n
+          | Int_in (lo, hi) -> Rng.int_in !r ~lo ~hi = Old_rng.int_in !o ~lo ~hi
+          | Bool -> Rng.bool !r = Old_rng.bool !o
+          | Split ->
+              r := Rng.split !r;
+              o := Old_rng.split !o;
+              true)
+        ops
+      (* the saved state marshals exactly as the reference record *)
+      && String.equal (Marshal.to_string (Rng.save !r) []) (Marshal.to_string !o []))
+
+let test_rng_save_restore_continues () =
+  let a = Rng.create ~seed:43 in
+  for _ = 1 to 17 do
+    ignore (Rng.bits64 a)
+  done;
+  let saved = Rng.save a in
+  let b = Rng.create ~seed:44 in
+  Rng.restore ~dst:b saved;
+  for _ = 1 to 100 do
+    Alcotest.(check int64) "restored stream continues" (Rng.bits64 a) (Rng.bits64 b)
+  done;
+  (* a snapshot round-trips through Marshal, as checkpoints store it *)
+  let c = Rng.create ~seed:45 in
+  Rng.restore ~dst:c (Marshal.from_string (Marshal.to_string (Rng.save a) []) 0 : Rng.state);
+  for _ = 1 to 100 do
+    Alcotest.(check int64) "unmarshalled state continues" (Rng.bits64 a) (Rng.bits64 c)
+  done
+
+let test_rng_int_allocation_free () =
+  let r = Rng.create ~seed:47 in
+  let calls = 100_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    ignore (Rng.int r (1 + (i land 1023)) : int)
+  done;
+  let words = Gc.minor_words () -. before in
+  (* a few words of slack for the measurement's own boxed float *)
+  if words > 8. then Alcotest.failf "Rng.int allocated %.0f minor words over %d calls" words calls
+
 (* ------------------------------------------------------------------ *)
 (* Dist *)
 
@@ -707,6 +866,9 @@ let () =
           quick "int covers all values" test_rng_int_covers_all;
           quick "int_in inclusive" test_rng_int_in;
           quick "uniformity" test_rng_uniformity;
+          QCheck_alcotest.to_alcotest prop_rng_matches_reference;
+          quick "save/restore continues the stream" test_rng_save_restore_continues;
+          quick "int allocates nothing" test_rng_int_allocation_free;
         ] );
       ( "dist",
         [
