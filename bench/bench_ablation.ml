@@ -31,7 +31,7 @@ let run_stripe () =
     Common.par_map
       (fun (stripe, name, spec) ->
         let config = { !Common.config with C.Engine.stripe_unit_bytes = stripe } in
-        let app, seq = C.Experiment.run_throughput ~config spec C.Workload.sc in
+        let app, seq = Common.run_pair ~config spec C.Workload.sc in
         [
           C.Units.to_string stripe;
           name;
@@ -71,7 +71,7 @@ let run_raid () =
         }
       in
       let probe = C.Array_model.create ~disks:8 layout in
-      let app, seq = C.Experiment.run_throughput ~config Common.rbuddy_selected scaled_tp in
+      let app, seq = Common.run_pair ~config Common.rbuddy_selected scaled_tp in
       C.Table.add_row t
         [
           name;

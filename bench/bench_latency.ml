@@ -37,8 +37,9 @@ let run () =
     Common.par_map
       (fun (sched, (w : C.Workload.t)) ->
         let config = { !Common.config with C.Engine.scheduler = sched } in
-        let obs = C.Experiment.run_throughput_obs ~config Common.rbuddy_selected w in
-        let sink = obs.C.Experiment.o_sink in
+        let plan = { C.Experiment.default_plan with instrument = true } in
+        let r = (C.Experiment.run ~config plan Common.rbuddy_selected w).(0) in
+        let sink = Option.get r.C.Experiment.sink in
         let mean = C.Hist.mean in
         let lat = C.Sink.latency sink in
         [

@@ -29,7 +29,7 @@ let run () =
     Common.par_map
       (fun (sched, (w : C.Workload.t)) ->
         let config = { !Common.config with C.Engine.scheduler = sched } in
-        let app, seq = C.Experiment.run_throughput ~config Common.rbuddy_selected w in
+        let app, seq = Common.run_pair ~config Common.rbuddy_selected w in
         [
           C.Sched_policy.name sched;
           w.C.Workload.name;

@@ -2,7 +2,7 @@
 
    Each paper policy x workload cell is executed once per shard count
    (default sweep 1/2/4; bench --shards N pins a single width), timing
-   the whole [run_sharded] call — fill included — and reporting
+   the whole sharded [Experiment.run] call — fill included — and reporting
    simulated I/O operations completed per wall-second.
 
    The simulated columns (throughput, io ops, slices) come out of the
@@ -52,10 +52,10 @@ let run () =
           List.iter
             (fun shards ->
               let t0 = Unix.gettimeofday () in
-              let r = C.Experiment.run_sharded ~config ~shards spec w in
+              let plan = { C.Experiment.default_plan with shards = Some shards } in
+              let r = (C.Experiment.run ~config plan spec w).(0) in
               let wall = Unix.gettimeofday () -. t0 in
-              let app = r.C.Engine.s_application
-              and seq = r.C.Engine.s_sequential in
+              let app = r.C.Experiment.application and seq = r.C.Experiment.sequential in
               let ops = app.C.Engine.io_ops + seq.C.Engine.io_ops in
               if !first then begin
                 first := false;
@@ -63,7 +63,7 @@ let run () =
                   [
                     pname;
                     w0.C.Workload.name;
-                    string_of_int r.C.Engine.s_slices;
+                    string_of_int r.C.Experiment.slices;
                     Common.pct_points app.C.Engine.pct_of_max;
                     Common.pct_points seq.C.Engine.pct_of_max;
                     string_of_int ops;

@@ -56,7 +56,10 @@ let shard_counts = ref [ 1; 2; 4 ]
 
 let run_alloc spec workload = C.Experiment.run_allocation ~config:!config spec workload
 
-let run_pair spec workload = C.Experiment.run_throughput ~config:!config spec workload
+(* One throughput run: (application, sequential) reports. *)
+let run_pair ?(config = !config) spec workload =
+  let r = (C.Experiment.run ~config C.Experiment.default_plan spec workload).(0) in
+  (r.C.Experiment.application, r.C.Experiment.sequential)
 
 let workloads = C.Workload.all
 

@@ -58,160 +58,181 @@ let stats_json stats =
       ("n", C.Obs.Json.Int (C.Stats.count stats));
     ]
 
-(* --seeds sweep mode: replicate the throughput pair across seeds on the
-   Domain pool and report mean +- stddev (and the sample range).  The
-   per-seed cells are isolated simulations; the per-worker accumulators
-   are singleton Stats merged in fixed seed order (Chan et al. via
-   Stats.merge), so the printed summary does not depend on --jobs —
-   and neither do the merged latency histograms (integer bucket counts,
-   fixed fold order). *)
-let run_sweep ~config ~jobs ~seeds ~policy ~json ~metrics_file ~trace_file spec
+(* The stochastic driver: the allocation test and/or the throughput
+   protocol in one of three shapes — one run (the default), one run
+   sharded into config.shard_slices slices (--shards N; byte-identical
+   at every N, which the CI speed-smoke job checks by cmp'ing the --json
+   output across widths), or a seed sweep (--seeds; summaries identical
+   at every --jobs).  All three are one Experiment.run plan; only the
+   report differs: a sweep prints mean +- stddev over seeds, a single
+   run the full report, with per-drive rows when unsharded.  Flags the
+   chosen shape ignores have been cleared by the caller. *)
+let run_stochastic ~config ~seeds ~jobs ~shards ~policy ~test ~json ~metrics_file ~trace_file
+    ~record_file ~timeline_file ~timeline_every ~ckpt_every ~ckpt_file ~resume_file spec
     (workload : C.Workload.t) =
   (* In --json mode stdout carries exactly one JSON document; the human
      narration moves to stderr. *)
   let ch = if json then stderr else stdout in
-  if trace_file <> "" then
-    prerr_endline "rofs_sim: --trace is ignored with --seeds (traces do not merge across seeds)";
-  Printf.fprintf ch "sweep: %d seeds [%s] jobs=%d scheduler=%s\n%!" (List.length seeds)
-    (String.concat "," (List.map string_of_int seeds))
-    jobs
-    (C.Sched_policy.name config.C.Engine.scheduler);
-  let instrumented = json || metrics_file <> "" in
-  let pairs, sink =
-    if instrumented then begin
-      let runs = C.Experiment.run_throughput_pairs_obs ~config ~jobs ~seeds spec workload in
-      ( Array.map
-          (fun (r : C.Experiment.obs_run) -> (r.C.Experiment.o_application, r.C.Experiment.o_sequential))
-          runs,
-        Some (C.Experiment.merge_sinks runs) )
-    end
-    else (C.Experiment.run_throughput_pairs ~config ~jobs ~seeds spec workload, None)
-  in
-  let merged pick =
-    Array.fold_left
-      (fun acc pair ->
-        let s = C.Stats.create () in
-        C.Stats.add s (pick pair);
-        C.Stats.merge acc s)
-      (C.Stats.create ()) pairs
-  in
-  let line label stats =
-    let bound v = match v with Some x -> Printf.sprintf "%.1f" x | None -> "-" in
-    Printf.fprintf ch "%-12s %6.1f +- %4.1f %% of max   (min %s, max %s, n=%d)\n" label
-      (C.Stats.mean stats) (C.Stats.stddev stats)
-      (bound (C.Stats.min_value stats))
-      (bound (C.Stats.max_value stats))
-      (C.Stats.count stats)
-  in
-  let app_stats =
-    merged (fun ((app : C.Engine.throughput_report), _) -> app.C.Engine.pct_of_max)
-  in
-  let seq_stats =
-    merged (fun (_, (seq : C.Engine.throughput_report)) -> seq.C.Engine.pct_of_max)
-  in
-  Printf.fprintf ch "%s / %s\n" workload.C.Workload.name policy;
-  line "application" app_stats;
-  line "sequential" seq_stats;
-  Option.iter
-    (fun sink ->
-      if metrics_file <> "" then write_json_file metrics_file (C.Sink.to_json sink);
-      if json then
-        print_endline
-          (C.Obs.Json.to_string
-             (C.Obs.Json.Obj
-                [
-                  ("schema", C.Obs.Json.Str "rofs-sweep-v1");
-                  ("policy", C.Obs.Json.Str policy);
-                  ("workload", C.Obs.Json.Str workload.C.Workload.name);
-                  ("seeds", C.Obs.Json.Arr (List.map (fun s -> C.Obs.Json.Int s) seeds));
-                  ("application_pct", stats_json app_stats);
-                  ("sequential_pct", stats_json seq_stats);
-                  ("metrics", C.Sink.to_json sink);
-                ])))
-    sink
-
-(* --shards mode: one throughput run decomposed into
-   config.shard_slices independent slices (disks and workload
-   partitioned deterministically) executed on a domain pool and merged
-   in fixed slice order.  The merged report is byte-identical at every
-   shard count — Engine.run_sharded's contract, pinned by
-   test/test_speed.ml — so --shards only changes the wall clock; the
-   CI speed-smoke job cmps the --json output across shard counts. *)
-let run_sharded_cli ~config ~shards ~policy ~test ~json ~metrics_file ~trace_file
-    ~record_file ~timeline_file ~timeline_every ~ckpt_every ~ckpt_file ~resume_file spec
-    (workload : C.Workload.t) =
-  let ch = if json then stderr else stdout in
-  if record_file <> "" then
-    prerr_endline "rofs_sim: --record is ignored with --shards (sharded runs record no trace)";
+  let scheduler = C.Sched_policy.name config.C.Engine.scheduler in
   let instrumented = json || metrics_file <> "" || trace_file <> "" in
-  Printf.fprintf ch "sharded: slices=%d shards=%d scheduler=%s\n%!"
-    config.C.Engine.shard_slices shards
-    (C.Sched_policy.name config.C.Engine.scheduler);
+  (match (seeds, shards) with
+  | _ :: _, _ ->
+      Printf.fprintf ch "sweep: %d seeds [%s] jobs=%d scheduler=%s\n%!" (List.length seeds)
+        (String.concat "," (List.map string_of_int seeds))
+        jobs scheduler
+  | [], Some n ->
+      Printf.fprintf ch "sharded: slices=%d shards=%d scheduler=%s\n%!"
+        config.C.Engine.shard_slices n scheduler
+  | [], None -> Printf.fprintf ch "seed=%d scheduler=%s\n%!" config.C.Engine.seed scheduler);
+  let recorder =
+    if record_file = "" then None
+    else if test = Alloc then begin
+      prerr_endline "rofs_sim: --record needs the throughput test; nothing recorded";
+      None
+    end
+    else Some (C.Trace_recorder.create ~name:workload.C.Workload.name)
+  in
   let alloc =
-    if test = All || test = Alloc then Some (C.Experiment.run_allocation ~config spec workload)
+    if seeds = [] && test <> Throughput then
+      Some (C.Experiment.run_allocation ~config spec workload)
     else None
   in
-  (* Per-slice snapshots: slice i of FILE lives at FILE.i (a slice is a
-     complete serial engine, so each resumes independently). *)
-  let slice_path base slice = Printf.sprintf "%s.%d" base slice in
-  let ckpt_every_ms = if ckpt_every > 0. then Some ckpt_every else None in
-  let ckpt_save =
-    if ckpt_file = "" then None
-    else Some (fun ~slice sections -> C.Ckpt.save_file (slice_path ckpt_file slice) sections)
+  (* Snapshots: FILE for one engine; slice i of a sharded run lives at
+     FILE.i (a slice is a complete serial engine, so each resumes
+     independently). *)
+  let snapshot_path base ~slice =
+    if shards = None then base else Printf.sprintf "%s.%d" base slice
   in
-  let ckpt_resume =
-    if resume_file = "" then None
-    else
-      Some
-        (fun ~slice ->
-          let path = slice_path resume_file slice in
-          match C.Ckpt.load_file path with
-          | Ok sections -> Some sections
-          | Error msg -> invalid_arg (Printf.sprintf "%s: %s" path msg))
+  let plan =
+    {
+      C.Experiment.seeds = (if seeds = [] then None else Some seeds);
+      jobs = Some jobs;
+      shards;
+      instrument = instrumented;
+      trace = trace_file <> "";
+      timeline_every_ms = (if timeline_file <> "" then Some timeline_every else None);
+      ckpt_every_ms = (if ckpt_every > 0. then Some ckpt_every else None);
+      ckpt_save =
+        (if ckpt_file = "" then None
+         else
+           Some
+             (fun ~slice sections ->
+               C.Ckpt.save_file (snapshot_path ckpt_file ~slice) sections));
+      ckpt_resume =
+        (if resume_file = "" then None
+         else
+           Some
+             (fun ~slice ->
+               let path = snapshot_path resume_file ~slice in
+               match C.Ckpt.load_file path with
+               | Ok sections -> Some sections
+               | Error msg -> invalid_arg (Printf.sprintf "%s: %s" path msg)));
+      recorder = Option.map C.Trace_recorder.hook recorder;
+    }
   in
-  let timeline_every_ms = if timeline_file <> "" then Some timeline_every else None in
-  let sharded =
-    if test = All || test = Throughput then
-      Some
-        (C.Experiment.run_sharded ~config ~shards ~instrument:instrumented
-           ~trace:(trace_file <> "") ?timeline_every_ms ?ckpt_every_ms ?ckpt_save
-           ?ckpt_resume spec workload)
-    else None
+  let results =
+    if test = Alloc then [||] else C.Experiment.run ~config plan spec workload
   in
-  let application = Option.map (fun (r : C.Engine.sharded_report) -> r.C.Engine.s_application) sharded in
-  let sequential = Option.map (fun (r : C.Engine.sharded_report) -> r.C.Engine.s_sequential) sharded in
-  let fault_report =
-    if C.Fault_plan.enabled config.C.Engine.faults then
-      Option.map (fun (r : C.Engine.sharded_report) -> r.C.Engine.s_fault) sharded
-    else None
+  (* Seed runs' sinks fold in seed order: integer bucket counts and a
+     fixed fold order keep the merged histograms identical at every
+     --jobs. *)
+  let merged_sink =
+    match Array.to_list (Array.map (fun r -> r.C.Experiment.sink) results) with
+    | Some s :: rest ->
+        Some (List.fold_left (fun acc r -> C.Sink.merge acc (Option.get r)) s rest)
+    | _ -> None
   in
-  let cache_report = Option.bind sharded (fun r -> r.C.Engine.s_cache) in
-  let churn = Option.map (fun (r : C.Engine.sharded_report) -> r.C.Engine.s_churn) sharded in
-  let sink =
-    match sharded with
-    | Some { C.Engine.s_sink = Some s; _ } -> Some s
-    | _ -> if instrumented then Some (C.Sink.create ()) else None
-  in
-  output_string ch
-    (C.Report.summary ?faults:fault_report ?cache:cache_report ?churn
-       ~workload:workload.C.Workload.name ~policy ~alloc ~application ~sequential ());
-  flush ch;
-  if timeline_file <> "" then begin
-    match Option.bind sharded (fun (r : C.Engine.sharded_report) -> r.C.Engine.s_timeline) with
-    | Some tl -> write_timeline_files timeline_file tl
-    | None -> prerr_endline "rofs_sim: --timeline needs the throughput test; nothing written"
-  end;
-  Option.iter
-    (fun sink ->
-      if metrics_file <> "" then write_json_file metrics_file (C.Sink.to_json sink);
-      if trace_file <> "" then write_trace_file trace_file sink;
-      if json then
-        print_endline
-          (C.Obs.Json.to_string
-             (C.Report.to_json ?alloc ?application ?sequential ?faults:fault_report
-                ?cache:cache_report ~metrics:sink ?churn
-                ~workload:workload.C.Workload.name ~policy ())))
-    sink
+  if seeds <> [] then begin
+    (* Per-seed samples as singleton Stats merged in seed order (Chan et
+       al. via Stats.merge). *)
+    let merged pick =
+      Array.fold_left
+        (fun acc r ->
+          let s = C.Stats.create () in
+          C.Stats.add s (pick r).C.Engine.pct_of_max;
+          C.Stats.merge acc s)
+        (C.Stats.create ()) results
+    in
+    let line label stats =
+      let bound v = match v with Some x -> Printf.sprintf "%.1f" x | None -> "-" in
+      Printf.fprintf ch "%-12s %6.1f +- %4.1f %% of max   (min %s, max %s, n=%d)\n" label
+        (C.Stats.mean stats) (C.Stats.stddev stats)
+        (bound (C.Stats.min_value stats))
+        (bound (C.Stats.max_value stats))
+        (C.Stats.count stats)
+    in
+    let app_stats = merged (fun r -> r.C.Experiment.application) in
+    let seq_stats = merged (fun r -> r.C.Experiment.sequential) in
+    Printf.fprintf ch "%s / %s\n" workload.C.Workload.name policy;
+    line "application" app_stats;
+    line "sequential" seq_stats;
+    Option.iter
+      (fun sink ->
+        if metrics_file <> "" then write_json_file metrics_file (C.Sink.to_json sink);
+        if json then
+          print_endline
+            (C.Obs.Json.to_string
+               (C.Obs.Json.Obj
+                  [
+                    ("schema", C.Obs.Json.Str "rofs-sweep-v1");
+                    ("policy", C.Obs.Json.Str policy);
+                    ("workload", C.Obs.Json.Str workload.C.Workload.name);
+                    ("seeds", C.Obs.Json.Arr (List.map (fun s -> C.Obs.Json.Int s) seeds));
+                    ("application_pct", stats_json app_stats);
+                    ("sequential_pct", stats_json seq_stats);
+                    ("metrics", C.Sink.to_json sink);
+                  ])))
+      merged_sink
+  end
+  else begin
+    let r = if test = Alloc then None else Some results.(0) in
+    let get f = Option.map f r in
+    let application = get (fun r -> r.C.Experiment.application) in
+    let sequential = get (fun r -> r.C.Experiment.sequential) in
+    let fault_report =
+      if C.Fault_plan.enabled config.C.Engine.faults then get (fun r -> r.C.Experiment.fault)
+      else None
+    in
+    let cache_report = Option.bind r (fun r -> r.C.Experiment.cache) in
+    let drives = Option.bind r (fun r -> r.C.Experiment.drives) in
+    let churn = get (fun r -> r.C.Experiment.churn) in
+    (* Without a throughput run an instrumented report still carries an
+       (empty) sink; unsharded, it traces, so --trace writes an empty
+       trace file. *)
+    let sink =
+      match merged_sink with
+      | Some s -> Some s
+      | None when instrumented ->
+          Some (C.Sink.create ~trace:(trace_file <> "" && shards = None) ())
+      | None -> None
+    in
+    output_string ch
+      (C.Report.summary ?faults:fault_report ?cache:cache_report ?drives ?churn
+         ~workload:workload.C.Workload.name ~policy ~alloc ~application ~sequential ());
+    flush ch;
+    if timeline_file <> "" then begin
+      match Option.bind r (fun r -> r.C.Experiment.timeline) with
+      | Some tl -> write_timeline_files timeline_file tl
+      | None -> prerr_endline "rofs_sim: --timeline needs the throughput test; nothing written"
+    end;
+    Option.iter
+      (fun r ->
+        C.Trace_codec.save_file record_file (C.Trace_recorder.trace r);
+        Printf.fprintf ch "recorded %d events to %s\n%!" (C.Trace_recorder.event_count r)
+          record_file)
+      recorder;
+    Option.iter
+      (fun sink ->
+        if metrics_file <> "" then write_json_file metrics_file (C.Sink.to_json sink);
+        if trace_file <> "" then write_trace_file trace_file sink;
+        if json then
+          print_endline
+            (C.Obs.Json.to_string
+               (C.Report.to_json ?alloc ?application ?sequential ?faults:fault_report
+                  ?cache:cache_report ?drives ~metrics:sink ?churn
+                  ~workload:workload.C.Workload.name ~policy ())))
+      sink
+  end
 
 (* --replay mode: drive a trace (text or binary, sniffed) through the
    full stack configured by the ordinary CLI flags; --record writes the
@@ -340,139 +361,40 @@ let run policy sizes grow unclustered fit ranges block workload_name test seed s
         invalid_arg "--timeline needs --timeline-every MS (a positive window width)";
       if timeline_every <> 0. && timeline_file = "" then
         invalid_arg "--timeline-every needs --timeline FILE";
+      let ignored flag why = Printf.eprintf "rofs_sim: %s is ignored with %s\n%!" flag why in
       if replay_file <> "" then begin
-        if seeds <> [] then
-          prerr_endline "rofs_sim: --seeds is ignored with --replay (one trace, one run)";
+        if seeds <> [] then ignored "--seeds" "--replay (one trace, one run)";
         if age_ms > 0. then
-          prerr_endline
-            "rofs_sim: --age-ms is ignored with --replay (the trace already encodes the \
-             volume's history)";
+          ignored "--age-ms" "--replay (the trace already encodes the volume's history)";
         if timeline_file <> "" then
-          prerr_endline
-            "rofs_sim: --timeline is ignored with --replay (timelines cover the \
-             stochastic throughput protocol)";
+          ignored "--timeline" "--replay (timelines cover the stochastic throughput protocol)";
         if shards <> None then
-          prerr_endline
-            "rofs_sim: --shards is ignored with --replay (a trace replays as one serial \
-             timeline)";
+          ignored "--shards" "--replay (a trace replays as one serial timeline)";
         run_replay ~config ~workload ~policy ~json ~metrics_file ~replay_file ~record_file
           spec
       end
-      else if seeds <> [] then begin
-        if record_file <> "" then
-          prerr_endline "rofs_sim: --record is ignored with --seeds (traces do not merge)";
-        if timeline_file <> "" then
-          prerr_endline
-            "rofs_sim: --timeline is ignored with --seeds (timelines do not merge across \
-             seeds)";
-        if shards <> None then
-          prerr_endline
-            "rofs_sim: --shards is ignored with --seeds (per-seed cells already run on \
-             --jobs domains)";
-        run_sweep ~config ~jobs ~seeds ~policy ~json ~metrics_file ~trace_file spec workload
-      end
-      else
-        match shards with
-        | Some shards ->
-            run_sharded_cli ~config ~shards ~policy ~test ~json ~metrics_file ~trace_file
-              ~record_file ~timeline_file ~timeline_every ~ckpt_every ~ckpt_file
-              ~resume_file spec workload
-        | None -> begin
-        let ch = if json then stderr else stdout in
-        let instrumented = json || metrics_file <> "" || trace_file <> "" in
-        let sink =
-          if instrumented then Some (C.Sink.create ~trace:(trace_file <> "") ()) else None
-        in
-        Printf.fprintf ch "seed=%d scheduler=%s\n%!" seed (C.Sched_policy.name scheduler);
-        let recorder =
-          if record_file = "" then None
-          else if test = Alloc then begin
-            prerr_endline "rofs_sim: --record needs the throughput test; nothing recorded";
-            None
-          end
-          else Some (C.Trace_recorder.create ~name:workload.C.Workload.name)
-        in
-        let alloc =
-          if test = All || test = Alloc then
-            Some (C.Experiment.run_allocation ~config spec workload)
-          else None
-        in
-        let application, sequential, fault_report, cache_report, drives, timeline, churn =
-          if test = All || test = Throughput then begin
-            (* Drive the engine directly (same protocol as
-               Experiment.run_throughput) so the fault report and drive
-               reports of the measured system are available afterwards. *)
-            let engine =
-              C.Experiment.make_engine
-                ?recorder:(Option.map C.Trace_recorder.hook recorder)
-                ~config spec workload
-            in
-            Option.iter (C.Engine.attach_obs engine) sink;
-            if timeline_file <> "" then
-              C.Engine.attach_timeline engine ~every_ms:timeline_every;
-            (* Arm before restoring: Engine.restore replaces the event
-               heap wholesale, so the snapshot's own tick chain (and
-               cadence) wins over the freshly armed one — a resumed run
-               checkpoints at exactly the times the original would. *)
-            if ckpt_every > 0. then
-              C.Engine.set_checkpoint engine ~every_ms:ckpt_every (fun () ->
-                  C.Ckpt.save_file ckpt_file (C.Engine.checkpoint engine));
-            (if resume_file <> "" then
-               match C.Ckpt.load_file resume_file with
-               | Ok sections -> C.Engine.restore engine sections
-               | Error msg -> invalid_arg (Printf.sprintf "%s: %s" resume_file msg));
-            C.Engine.fill_to_lower_bound engine;
-            C.Engine.run_aging engine;
-            let app = C.Engine.run_application_test engine in
-            (* The sequential test re-reads whole files; the recorded
-               trace covers initialization + fill + application test,
-               the window the replay bench verifies against. *)
-            C.Engine.set_recorder engine None;
-            let seq = C.Engine.run_sequential_test engine in
-            (* Final snapshot: a completed run resumes instantly (both
-               reports are stored in the snapshot). *)
-            if ckpt_file <> "" then
-              C.Ckpt.save_file ckpt_file (C.Engine.checkpoint engine);
-            let faults_seen =
-              if C.Fault_plan.enabled faults then Some (C.Engine.fault_report engine) else None
-            in
-            ( Some app,
-              Some seq,
-              faults_seen,
-              C.Engine.cache_report engine,
-              Some (C.Engine.drive_reports engine),
-              C.Engine.timeline engine,
-              Some (C.Engine.churn_stats engine) )
-          end
-          else (None, None, None, None, None, None, None)
-        in
-        output_string ch
-          (C.Report.summary ?faults:fault_report ?cache:cache_report ?drives ?churn
-             ~workload:workload.C.Workload.name ~policy ~alloc ~application ~sequential ());
-        flush ch;
-        if timeline_file <> "" then begin
-          match timeline with
-          | Some tl -> write_timeline_files timeline_file tl
-          | None ->
-              prerr_endline "rofs_sim: --timeline needs the throughput test; nothing written"
-        end;
-        Option.iter
-          (fun r ->
-            C.Trace_codec.save_file record_file (C.Trace_recorder.trace r);
-            Printf.fprintf ch "recorded %d events to %s\n%!" (C.Trace_recorder.event_count r)
-              record_file)
-          recorder;
-        Option.iter
-          (fun sink ->
-            if metrics_file <> "" then write_json_file metrics_file (C.Sink.to_json sink);
-            if trace_file <> "" then write_trace_file trace_file sink;
-            if json then
-              print_endline
-                (C.Obs.Json.to_string
-                   (C.Report.to_json ?alloc ?application ?sequential ?faults:fault_report
-                      ?cache:cache_report ?drives ~metrics:sink ?churn
-                      ~workload:workload.C.Workload.name ~policy ())))
-          sink
+      else begin
+        let sweep = seeds <> [] in
+        if sweep then begin
+          (* A sweep replicates the throughput test only; the
+             allocation test has nothing to replicate. *)
+          if test = Alloc then invalid_arg "--test alloc cannot be combined with --seeds";
+          if record_file <> "" then ignored "--record" "--seeds (traces do not merge)";
+          if timeline_file <> "" then
+            ignored "--timeline" "--seeds (timelines do not merge across seeds)";
+          if shards <> None then
+            ignored "--shards" "--seeds (per-seed cells already run on --jobs domains)";
+          if trace_file <> "" then ignored "--trace" "--seeds (traces do not merge across seeds)"
+        end
+        else if shards <> None && record_file <> "" then
+          ignored "--record" "--shards (sharded runs record no trace)";
+        let unless_sweep file = if sweep then "" else file in
+        run_stochastic ~config ~seeds ~jobs
+          ~shards:(if sweep then None else shards)
+          ~policy ~test ~json ~metrics_file ~trace_file:(unless_sweep trace_file)
+          ~record_file:(if shards = None then unless_sweep record_file else "")
+          ~timeline_file:(unless_sweep timeline_file) ~timeline_every ~ckpt_every ~ckpt_file
+          ~resume_file spec workload
       end
 
 let policy_arg =

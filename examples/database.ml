@@ -75,7 +75,8 @@ let () =
         C.Experiment.Extent
           (C.Extent_alloc.config ~fit ~range_means_bytes:[ 512 * kib; mib; 16 * mib ] ())
       in
-      let app, seq = C.Experiment.run_throughput spec workload in
+      let r = (C.Experiment.run C.Experiment.default_plan spec workload).(0) in
+      let app = r.C.Experiment.application and seq = r.C.Experiment.sequential in
       C.Table.add_row table
         [
           label;

@@ -20,7 +20,8 @@ let () =
     (100. *. alloc.Core.Engine.external_frag)
     alloc.Core.Engine.alloc_ops;
 
-  let app, seq = Core.Experiment.run_throughput spec workload in
+  let r = (Core.Experiment.run Core.Experiment.default_plan spec workload).(0) in
+  let app = r.Core.Experiment.application and seq = r.Core.Experiment.sequential in
   Printf.printf "application throughput: %5.1f%% of max (%.2f MB/s, %d I/Os, %s)\n"
     app.Core.Engine.pct_of_max
     (app.Core.Engine.bytes_per_ms *. 1000. /. 1048576.)

@@ -16,7 +16,8 @@ let spec =
 
 let run_with ~array_config =
   let config = { C.Engine.default_config with C.Engine.array_config } in
-  C.Experiment.run_throughput ~config spec C.Workload.sc
+  let r = (C.Experiment.run ~config C.Experiment.default_plan spec C.Workload.sc).(0) in
+  (r.C.Experiment.application, r.C.Experiment.sequential)
 
 let () =
   let stripe_table = C.Table.create ~header:[ "stripe unit"; "application"; "sequential" ] in

@@ -33,9 +33,6 @@ type t = {
   ckpt_load : string -> unit;
 }
 
-let allocated_total t ~files =
-  List.fold_left (fun acc file -> acc + t.allocated_units ~file) 0 files
-
 let used_units t = t.total_units - t.free_units ()
 
 let utilization t = float_of_int (used_units t) /. float_of_int t.total_units

@@ -85,9 +85,6 @@ type t = {
           config fingerprint before calling). *)
 }
 
-val allocated_total : t -> files:int list -> int
-(** Sum of [allocated_units] over [files]. *)
-
 val used_units : t -> int
 (** [total_units - free_units ()]. *)
 

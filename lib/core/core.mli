@@ -14,9 +14,10 @@
           (Core.Restricted_buddy.config
              ~block_sizes_bytes:(Core.Restricted_buddy.paper_block_sizes 5) ())
       in
-      let app, seq = Core.Experiment.run_throughput spec Core.Workload.sc in
+      let r = (Core.Experiment.run Core.Experiment.default_plan spec Core.Workload.sc).(0) in
       Printf.printf "application %.1f%%, sequential %.1f%%\n"
-        app.Core.Engine.pct_of_max seq.Core.Engine.pct_of_max
+        r.Core.Experiment.application.Core.Engine.pct_of_max
+        r.Core.Experiment.sequential.Core.Engine.pct_of_max
     ]}
 
     The submodules are re-exports of the underlying libraries; see their
@@ -133,8 +134,5 @@ module Trace_codec = Rofs_trace_replay.Codec
 module Trace_import = Rofs_trace_replay.Import
 module Trace_recorder = Rofs_trace_replay.Recorder
 module Trace_replay = Rofs_trace_replay.Replay
-
-module Trace_runner = Rofs_trace_replay.Compat
-(** The retired thin runner's API, now backed by {!Trace_replay}. *)
 
 val version : string

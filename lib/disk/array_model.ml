@@ -853,7 +853,7 @@ type rebuild_step =
   | Rebuild_blocked
   | Rebuild_done
   | Rebuild_sync of float
-  | Rebuild_queued of op * dispatched list
+  | Rebuild_queued of op
 
 let rebuild_step t ~now ~queued ~drive =
   check_drive t drive;
@@ -890,10 +890,7 @@ let rebuild_step t ~now ~queued ~drive =
             sources;
           cb_push t ~disk:drive ~offset:pos ~bytes ~parity:true ~rmw:false;
           Fault.rebuild_advance t.fault ~drive ~bytes;
-          if queued then begin
-            let op = submit_buf t ~now in
-            Rebuild_queued (op, dispatched_list t)
-          end
+          if queued then Rebuild_queued (submit_buf t ~now)
           else begin
             perform_buf t ~now;
             Rebuild_sync t.window.(1)

@@ -249,8 +249,10 @@ type rebuild_step =
   | Rebuild_blocked  (** a reconstruction source is unavailable; retry later *)
   | Rebuild_done  (** sweep complete; the drive is healthy again *)
   | Rebuild_sync of float  (** synchronous path: the rebuild I/O's completion time *)
-  | Rebuild_queued of op * dispatched list
-      (** queued path: the rebuild I/O went through the dispatch queues *)
+  | Rebuild_queued of op
+      (** queued path: the rebuild I/O went through the dispatch queues;
+          the chunks it started are read through {!dispatched_len} and
+          friends, as after {!submit_runs} *)
 
 val rebuild_step : t -> now:float -> queued:bool -> drive:int -> rebuild_step
 (** Issue the next background rebuild I/O for [drive]: read the next

@@ -35,104 +35,96 @@ val run_allocation :
   ?config:Engine.config -> policy_spec -> Rofs_workload.Workload.t -> Engine.alloc_report
 (** The fragmentation (allocation) test of Section 3. *)
 
-val run_throughput :
-  ?config:Engine.config ->
-  policy_spec ->
-  Rofs_workload.Workload.t ->
-  Engine.throughput_report * Engine.throughput_report
-(** Fill to N, then (application report, sequential report). *)
+(** {1 Throughput runs}
 
-val run_sharded :
-  ?config:Engine.config ->
-  ?shards:int ->
-  ?instrument:bool ->
-  ?trace:bool ->
-  ?timeline_every_ms:float ->
-  ?ckpt_every_ms:float ->
-  ?ckpt_save:(slice:int -> (string * string) list -> unit) ->
-  ?ckpt_resume:(slice:int -> (string * string) list option) ->
-  policy_spec ->
-  Rofs_workload.Workload.t ->
-  Engine.sharded_report
-(** {!Engine.run_sharded} with the standard spec-based per-slice policy
-    builder (capacity sized to each slice's sub-array, policy RNG seeded
-    from the slice seed exactly as {!make_engine} does).  The merged
-    report is byte-identical at every [shards] count, and with
-    [config.shard_slices = 1] byte-identical to {!run_throughput}.  The
-    [timeline_every_ms] and [ckpt_*] options pass through to
-    {!Engine.run_sharded}'s per-slice telemetry and checkpointing. *)
+    One entry point, {!run}, for the throughput protocol: a {!plan}
+    says how many runs (seeds), how each is executed (unsharded or
+    sharded) and what each carries along (sink, trace, timeline,
+    checkpoints, trace recorder). *)
 
-type obs_run = {
-  o_application : Engine.throughput_report;
-  o_sequential : Engine.throughput_report;
-  o_sink : Rofs_obs.Sink.t;  (** latency histograms, per-drive samples, trace *)
-  o_drives : Engine.drive_report array;
+type plan = {
+  seeds : int list option;
+      (** [None]: one run at [config.seed].  [Some seeds]: one isolated
+          run per seed ([config] with its seed replaced), results in
+          seed order.  [Some []] is refused. *)
+  jobs : int option;
+      (** domains the seed runs spread over (default
+          {!Rofs_par.Pool.default_jobs}); results are identical at every
+          count *)
+  shards : int option;
+      (** [None]: each run is one engine over the whole system.
+          [Some n]: each run splits into [config.shard_slices]
+          independent slices executed on [n] domains and merged in
+          slice order — byte-identical at every [n] *)
+  instrument : bool;  (** attach a fresh {!Rofs_obs.Sink.t} per engine *)
+  trace : bool;  (** with [instrument]: the sinks also keep the bounded event trace *)
+  timeline_every_ms : float option;  (** attach a timeline per engine with this window *)
+  ckpt_every_ms : float option;
+      (** with [ckpt_save]: arm periodic checkpointing at this cadence *)
+  ckpt_save : (slice:int -> (string * string) list -> unit) option;
+      (** receives each engine's snapshots (slice 0 when unsharded),
+          periodic ones and a final one after the sequential test *)
+  ckpt_resume : (slice:int -> (string * string) list option) option;
+      (** consulted once per engine before the fill; [Some sections]
+          restores them *)
+  recorder : (Engine.recorded -> unit) option;
+      (** attached from initialization through the application test;
+          unsharded single-seed runs only *)
 }
-(** One instrumented throughput run. *)
 
-val run_throughput_obs :
-  ?config:Engine.config ->
-  ?trace:bool ->
-  ?trace_capacity:int ->
-  policy_spec ->
-  Rofs_workload.Workload.t ->
-  obs_run
-(** {!run_throughput} with a fresh sink attached before the fill phase.
-    Simulated results are identical to the uninstrumented run — the sink
-    only observes.  [trace] (default false) additionally captures the
-    bounded event trace. *)
+val default_plan : plan
+(** One unsharded, uninstrumented run at [config.seed]. *)
 
-val run_throughput_pairs_obs :
-  ?config:Engine.config ->
-  ?jobs:int ->
-  seeds:int list ->
-  policy_spec ->
-  Rofs_workload.Workload.t ->
-  obs_run array
-(** Instrumented {!run_throughput_pairs}: one isolated sink per seed, in
-    seed order.  Tracing stays off — a merged multi-seed trace would
-    interleave unrelated timelines. *)
+type result = {
+  application : Engine.throughput_report;
+  sequential : Engine.throughput_report;
+  cache : Engine.cache_report option;  (** [None] when the config has no cache *)
+  fault : Engine.fault_report;
+  churn : Rofs_alloc.Policy.churn_stats;
+  sink : Rofs_obs.Sink.t option;  (** [None] unless [instrument] *)
+  timeline : Rofs_obs.Timeline.t option;  (** [None] unless [timeline_every_ms] *)
+  drives : Engine.drive_report array option;  (** per-drive reports; unsharded runs only *)
+  slices : int;  (** engines simulated: [config.shard_slices] sharded, 1 unsharded *)
+  shards : int;  (** execution width used: [n] for [Some n], 1 unsharded *)
+}
+(** One throughput run: fill to N, the application test, then the
+    sequential test on the same aged system.
 
-val merge_sinks : obs_run array -> Rofs_obs.Sink.t
-(** Fold the runs' sinks with [Sink.merge] in array (= seed) order.
-    Bucket counts are integers and the fold order is fixed, so the
-    result is bit-identical at every [jobs] count. *)
+    Sharded runs merge in slice order: additive counters sum; rates sum
+    (slices run side by side) and [pct_of_max] is the summed rate
+    against the summed per-slice bandwidth; [measured_ms] /
+    [checkpoints] take the max; [stabilized] holds iff every slice
+    stabilized; [utilization] is capacity-weighted and
+    [mean_extents_per_file] file-count-weighted; cache counters sum
+    (per-type rows by name, first-seen order); fault drive states
+    concatenate slice 0 first; sinks and timelines fold with their own
+    [merge].  With [config.shard_slices = 1] the one slice reuses the
+    config and workload verbatim, so its reports equal the unsharded
+    run's. *)
+
+val run :
+  ?config:Engine.config -> plan -> policy_spec -> Rofs_workload.Workload.t -> result array
+(** [run ~config plan spec workload] runs the throughput protocol as
+    [plan] says and returns one result per seed, in seed order (one
+    element without [seeds]).  Each engine is armed, in this order,
+    with the sink, the timeline and the checkpoint tick, then restored
+    when [ckpt_resume] has a snapshot for it, then filled, aged and
+    measured.  Simulated results do not depend on [jobs], [shards] or
+    instrumentation.
+    @raise Invalid_argument on [Some []] seeds, a recorder or
+    checkpoint callbacks combined with [seeds], a recorder combined
+    with [shards], and, when sharded, a non-positive [shards], an
+    invalid config, [config.shard_slices] above [config.disks] or a
+    workload too small to give every slice a file and a user. *)
 
 type summary = { mean : float; stddev : float; runs : int }
 (** Aggregate of one metric over repeated runs. *)
 
-val run_throughput_pairs :
-  ?config:Engine.config ->
-  ?jobs:int ->
-  seeds:int list ->
-  policy_spec ->
-  Rofs_workload.Workload.t ->
-  (Engine.throughput_report * Engine.throughput_report) array
-(** One (application, sequential) report pair per seed, in seed order.
-    Each seed's cell builds its own RNG, policy and engine, so cells are
-    fully independent; with [jobs > 1] they run concurrently on a
-    {!Rofs_par.Pool} and each cell's reports are identical to what a
-    serial run produces.  Raises [Invalid_argument] on an empty seed
-    list. *)
-
-val run_throughput_seeds :
-  ?config:Engine.config ->
-  ?jobs:int ->
-  seeds:int list ->
-  policy_spec ->
-  Rofs_workload.Workload.t ->
-  summary * summary
-(** Repeat the throughput pair once per seed and summarize the
-    application and sequential percentages — mean and (unbiased) sample
-    deviation.  Useful for stating how sensitive a configuration's
-    numbers are to the stochastic draws.
-
-    [jobs] (default {!Rofs_par.Pool.default_jobs}, i.e. [ROFS_JOBS] or
-    1) fans the per-seed simulations across that many domains.  The
-    per-seed samples are folded in seed order regardless of job count,
-    so the result is {e byte-identical} to the serial path — [~jobs:4]
-    and [~jobs:1] agree bit for bit (enforced by [test/test_par.ml]'s
-    frozen goldens). *)
+val summarize : result array -> summary * summary
+(** Mean and (unbiased) sample deviation of the application and
+    sequential percentages, folded in array (= seed) order, so a seed
+    sweep's summary is byte-identical at every [jobs] count (enforced
+    by [test/test_par.ml]'s frozen goldens). *)
 
 type matrix_cell = {
   m_policy : string;
@@ -149,10 +141,11 @@ val run_matrix :
   policies:(string * (Rofs_workload.Workload.t -> policy_spec)) list ->
   Rofs_workload.Workload.t list ->
   matrix_cell list
-(** Run every (policy, workload, seed) cell of the grid — policies may
-    depend on the workload, as the paper's extent ranges and fixed block
-    sizes do — and summarize each (policy, workload) pair over its
-    seeds.  The whole grid is one flat task list on the pool, so cells
-    load-balance across domains; output order (policy-major,
-    workload-minor) and every value are independent of [jobs].  Raises
-    [Invalid_argument] if any of the three axes is empty. *)
+(** Run every (policy, workload, seed) cell of the grid as {!run}
+    does under {!default_plan} — policies may depend on the workload, as
+    the paper's extent ranges and fixed block sizes do — and
+    {!summarize} each (policy, workload) pair over its seeds.  The whole
+    grid is one flat task list on the pool, so cells load-balance across
+    domains; output order (policy-major, workload-minor) and every value
+    are independent of [jobs].  Raises [Invalid_argument] if any of the
+    three axes is empty. *)

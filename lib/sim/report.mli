@@ -7,29 +7,14 @@
 val mb_per_s : float -> float
 (** Convert the engine's bytes/ms to binary MB/s. *)
 
-val pp_alloc : Format.formatter -> Engine.alloc_report -> unit
+val alloc_to_string : Engine.alloc_report -> string
 (** e.g. ["internal 15.9%, external 4.0% (1837 ops, util 99.3%, failed)"]. *)
 
-val pp_throughput : Format.formatter -> Engine.throughput_report -> unit
+val throughput_to_string : Engine.throughput_report -> string
 (** e.g. ["83.4% of max (9.05 MB/s, 1350 I/Os, stabilized)"]. *)
 
-val pp_fault : Format.formatter -> Engine.fault_report -> unit
-(** e.g. ["7 healthy / 1 failed / 0 rebuilding; 0 lost ops, ..."]. *)
-
-val pp_cache : Format.formatter -> Engine.cache_report -> unit
-(** e.g. ["lru/back, 1024 x 8K pages: 912/1350 hits (67.6%), ..."]. *)
-
-val pp_churn : Format.formatter -> Rofs_alloc.Policy.churn_stats -> unit
-(** e.g. ["write cost 1.312x (48210 user units, 15037 cleaner-moved, 112 passes)"]. *)
-
-val alloc_to_string : Engine.alloc_report -> string
-val throughput_to_string : Engine.throughput_report -> string
-val fault_to_string : Engine.fault_report -> string
 val cache_to_string : Engine.cache_report -> string
-val churn_to_string : Rofs_alloc.Policy.churn_stats -> string
-
-val drive_to_string : Engine.drive_report -> string
-(** e.g. ["util  43.2%, queue 1.3 mean / 4 max, 1234 reqs, 87 seeks, 12 M"]. *)
+(** e.g. ["lru/back, 1024 x 8K pages: 912/1350 hits (67.6%), ..."]. *)
 
 val summary :
   ?faults:Engine.fault_report ->
@@ -45,11 +30,9 @@ val summary :
 (** Multi-line block with one labelled line per available report; with
     [drives], one utilization / queue-depth line per drive. *)
 
-val throughput_json : Engine.throughput_report -> Rofs_obs.Json.t
 val cache_json : Engine.cache_report -> Rofs_obs.Json.t
 val fault_json : Engine.fault_report -> Rofs_obs.Json.t
 val drive_json : Engine.drive_report -> Rofs_obs.Json.t
-val churn_json : Rofs_alloc.Policy.churn_stats -> Rofs_obs.Json.t
 (** The per-report JSON encoders behind {!to_json}, exposed so other
     document schemas (the trace-replay report) can embed the same
     members byte-compatibly. *)

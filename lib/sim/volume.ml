@@ -84,7 +84,6 @@ let allocated_bytes t ~file =
   Policy.bytes_of_units t.policy (t.policy.Policy.allocated_units ~file)
 
 let extent_count t ~file = t.policy.Policy.extent_count ~file
-let type_of_file t ~file = (info t file).type_idx
 
 let random_file t rng ~type_idx =
   let vec = t.by_type.(type_idx) in
@@ -112,7 +111,6 @@ let slice_bytes t ~file ~off ~len =
 let total_bytes t = Policy.bytes_of_units t.policy t.policy.Policy.total_units
 let free_bytes t = Policy.bytes_of_units t.policy (t.policy.Policy.free_units ())
 let used_bytes t = total_bytes t - free_bytes t
-let total_logical_bytes t = t.total_logical
 
 let utilization t = float_of_int (used_bytes t) /. float_of_int (total_bytes t)
 

@@ -34,7 +34,6 @@ val file_exists : t -> file:int -> bool
 val logical_bytes : t -> file:int -> int
 val allocated_bytes : t -> file:int -> int
 val extent_count : t -> file:int -> int
-val type_of_file : t -> file:int -> int
 
 val random_file : t -> Rofs_util.Rng.t -> type_idx:int -> int option
 (** A uniformly random live file of the given type. *)
@@ -53,7 +52,6 @@ val used_bytes : t -> int
 
 val total_bytes : t -> int
 val free_bytes : t -> int
-val total_logical_bytes : t -> int
 
 val utilization : t -> float
 (** Allocated / total. *)

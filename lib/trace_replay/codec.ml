@@ -162,8 +162,6 @@ let decode s =
     Ok { Trace.name; initial = List.rev !initial; events = List.rev !events }
   with Bad msg -> Error ("binary trace: " ^ msg)
 
-let write_channel oc t = output_string oc (encode t)
-
 let read_all ic =
   let buf = Buffer.create 65536 in
   let chunk = Bytes.create 65536 in
@@ -176,8 +174,6 @@ let read_all ic =
   in
   go ();
   Buffer.contents buf
-
-let read_channel ic = decode (read_all ic)
 
 (* Atomic: the trace lands under a temp name and renames into place, so
    a crash mid-save never leaves a torn file where a previous good

@@ -39,9 +39,6 @@ val binary_path : string -> bool
 (** Filename convention: [.bin] / [.rtb] extensions select the binary
     format for {!save_file}. *)
 
-val write_channel : out_channel -> Rofs_workload.Trace.t -> unit
-val read_channel : in_channel -> (Rofs_workload.Trace.t, string) result
-
 val save_file : string -> Rofs_workload.Trace.t -> unit
 (** Write [trace] to a path: binary when {!binary_path} says so, the
     text format otherwise. *)

@@ -27,9 +27,6 @@ val max_value : t -> float option
 
 val total : t -> float
 
-val copy : t -> t
-(** Independent snapshot of the accumulator. *)
-
 val merge : t -> t -> t
 (** [merge a b] is a fresh accumulator equivalent to having seen [a]'s
     samples followed by [b]'s, per Chan et al.'s parallel combination of

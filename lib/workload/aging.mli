@@ -12,8 +12,8 @@
 
     The decision is a pure function of the per-user RNG, the user's
     file type and the volume's current utilization — no global state —
-    so aging partitions exactly like the measurement workloads and
-    [Engine.run_sharded] stays byte-identical at every shard width. *)
+    so aging partitions exactly like the measurement workloads and a
+    sharded [Experiment.run] stays byte-identical at every shard width. *)
 
 type op = Grow | Truncate | Delete
 

@@ -15,7 +15,7 @@
      stream is a pure function of the per-user RNG (QCheck);
    - aged engine runs: the aging phase holds the target occupancy
      within tolerance and is seed-deterministic (QCheck over seeds);
-   - aged sharded runs: with aging on, run_sharded stays bit-identical
+   - aged sharded runs: with aging on, a sharded run stays bit-identical
      at shards 1/2/4/8 — merged reports, merged churn counters and the
      merged timeline JSON;
    - armed cadences across the jump: checkpoint ticks keep firing
@@ -459,8 +459,8 @@ let check_churn_equal name (a : Policy.churn_stats) (b : Policy.churn_stats) =
   check_int (name ^ " moved units") a.Policy.cs_moved_units b.Policy.cs_moved_units;
   check_int (name ^ " cleaner passes") a.Policy.cs_cleaner_passes b.Policy.cs_cleaner_passes
 
-let timeline_json (r : Engine.sharded_report) =
-  match r.Engine.s_timeline with
+let timeline_json (r : Experiment.result) =
+  match r.Experiment.timeline with
   | None -> Alcotest.fail "expected a merged timeline"
   | Some tl -> C.Obs.Json.to_string (C.Timeline.to_json tl)
 
@@ -469,19 +469,21 @@ let test_aged_sharded_invariance () =
     (fun pname ->
       let spec = spec_of pname in
       let run shards =
-        Experiment.run_sharded ~config:aged_config ~shards ~timeline_every_ms:2_000. spec
-          mini_ts
+        let plan =
+          { Experiment.default_plan with shards = Some shards; timeline_every_ms = Some 2_000. }
+        in
+        (Experiment.run ~config:aged_config plan spec mini_ts).(0)
       in
       let base = run 1 in
       check_bool (pname ^ " aged run produced churn") true
-        (base.Engine.s_churn.Policy.cs_user_units > 0);
+        (base.Experiment.churn.Policy.cs_user_units > 0);
       List.iter
         (fun shards ->
           let r = run shards in
           let name = Printf.sprintf "aged %s shards=%d" pname shards in
-          check_tp_equal (name ^ " app") base.Engine.s_application r.Engine.s_application;
-          check_tp_equal (name ^ " seq") base.Engine.s_sequential r.Engine.s_sequential;
-          check_churn_equal (name ^ " churn") base.Engine.s_churn r.Engine.s_churn;
+          check_tp_equal (name ^ " app") base.Experiment.application r.Experiment.application;
+          check_tp_equal (name ^ " seq") base.Experiment.sequential r.Experiment.sequential;
+          check_churn_equal (name ^ " churn") base.Experiment.churn r.Experiment.churn;
           check_bool (name ^ " timeline JSON identical") true
             (String.equal (timeline_json base) (timeline_json r)))
         [ 2; 4; 8 ])

@@ -379,23 +379,27 @@ let test_sharded_resume () =
     if not (Hashtbl.mem first slice) then Hashtbl.add first slice sections;
     Hashtbl.replace last slice sections
   in
+  let plan = { Experiment.default_plan with ckpt_every_ms = Some every_ms } in
   let base =
-    Experiment.run_sharded ~config ~shards:2 ~ckpt_every_ms:every_ms ~ckpt_save:save spec w
+    (Experiment.run ~config { plan with shards = Some 2; ckpt_save = Some save } spec w).(0)
   in
-  check_int "slices" 4 base.Engine.s_slices;
+  check_int "slices" 4 base.Experiment.slices;
   check_bool "every slice snapshotted" true (Hashtbl.length first = 4);
   (* resume every slice from its first mid-run snapshot; the merged
      report must match the uninterrupted armed run bit-exactly — at a
      different execution width, which must not matter *)
   let resume tbl shards name =
-    let r =
-      Experiment.run_sharded ~config ~shards ~ckpt_every_ms:every_ms
-        ~ckpt_save:(fun ~slice:_ _ -> ())
-        ~ckpt_resume:(fun ~slice -> Hashtbl.find_opt tbl slice)
-        spec w
+    let plan =
+      {
+        plan with
+        shards = Some shards;
+        ckpt_save = Some (fun ~slice:_ _ -> ());
+        ckpt_resume = Some (fun ~slice -> Hashtbl.find_opt tbl slice);
+      }
     in
-    check_tp_equal (name ^ " app") base.Engine.s_application r.Engine.s_application;
-    check_tp_equal (name ^ " seq") base.Engine.s_sequential r.Engine.s_sequential
+    let r = (Experiment.run ~config plan spec w).(0) in
+    check_tp_equal (name ^ " app") base.Experiment.application r.Experiment.application;
+    check_tp_equal (name ^ " seq") base.Experiment.sequential r.Experiment.sequential
   in
   resume first 4 "sharded resume (first snapshots)";
   (* the final snapshots were taken after each slice finished: resuming

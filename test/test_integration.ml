@@ -12,6 +12,11 @@ module File_type = C.File_type
 
 let check_bool = Alcotest.(check bool)
 
+(* One unsharded throughput run: (application, sequential) reports. *)
+let throughput ~config spec w =
+  let r = (Experiment.run ~config Experiment.default_plan spec w).(0) in
+  (r.Experiment.application, r.Experiment.sequential)
+
 (* A miniature SC-like workload: one big file, a few medium, sequential
    bursts. *)
 let mini_sc =
@@ -170,8 +175,8 @@ let test_extent_fragmentation_small () =
 let test_sequential_multiblock_beats_fixed () =
   (* Figure 6a: on large-file workloads the multiblock policies utilize
      nearly the full bandwidth while the fixed-block system does not. *)
-  let _, seq_rb = Experiment.run_throughput ~config (rbuddy 5) mini_sc in
-  let _, seq_fx = Experiment.run_throughput ~config (fixed (16 * 1024)) mini_sc in
+  let _, seq_rb = throughput ~config (rbuddy 5) mini_sc in
+  let _, seq_fx = throughput ~config (fixed (16 * 1024)) mini_sc in
   check_bool
     (Printf.sprintf "restricted %.1f%% > fixed %.1f%% + 20" seq_rb.Engine.pct_of_max
        seq_fx.Engine.pct_of_max)
@@ -182,7 +187,7 @@ let test_sequential_multiblock_beats_fixed () =
 let test_small_file_workload_low_utilization () =
   (* Figure 6: in the time-sharing environment no policy pushes the
      system far; small files dominate. *)
-  let app, seq = Experiment.run_throughput ~config (rbuddy 3) mini_ts in
+  let app, seq = throughput ~config (rbuddy 3) mini_ts in
   check_bool (Printf.sprintf "TS app %.1f%% modest" app.Engine.pct_of_max) true
     (app.Engine.pct_of_max < 40.);
   check_bool (Printf.sprintf "TS seq %.1f%% modest" seq.Engine.pct_of_max) true

@@ -679,8 +679,13 @@ let test_sweep_merge_job_invariant () =
   let config = { (engine_config ~scheduler:Policy.Fcfs) with Engine.max_measure_ms = 10_000. } in
   let seeds = [ 1; 2; 3 ] in
   let doc jobs =
-    let runs = Experiment.run_throughput_pairs_obs ~config ~jobs ~seeds buddy mini_tp in
-    Json.to_string (Sink.to_json (Experiment.merge_sinks runs))
+    let plan =
+      { Experiment.default_plan with seeds = Some seeds; jobs = Some jobs; instrument = true }
+    in
+    let results = Experiment.run ~config plan buddy mini_tp in
+    let sinks = Array.map (fun r -> Option.get r.Experiment.sink) results in
+    let merged = Array.fold_left Sink.merge sinks.(0) (Array.sub sinks 1 (Array.length sinks - 1)) in
+    Json.to_string (Sink.to_json merged)
   in
   check_string "jobs=1 equals jobs=4" (doc 1) (doc 4)
 
@@ -696,8 +701,11 @@ let timeline_digest_golden = "cba4945fd6db7ba9dc08bda332448888"
 let timeline_config = { (engine_config ~scheduler:Policy.Fcfs) with Engine.max_measure_ms = 10_000. }
 
 let sharded_timeline shards =
-  let r = Experiment.run_sharded ~config:timeline_config ~shards ~timeline_every_ms:1000. buddy mini_tp in
-  match r.Engine.s_timeline with
+  let plan =
+    { Experiment.default_plan with shards = Some shards; timeline_every_ms = Some 1000. }
+  in
+  let r = (Experiment.run ~config:timeline_config plan buddy mini_tp).(0) in
+  match r.Experiment.timeline with
   | Some tl -> (Json.to_string (Timeline.to_json tl), Timeline.to_csv tl)
   | None -> Alcotest.fail "sharded run produced no timeline"
 

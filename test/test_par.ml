@@ -8,7 +8,7 @@
      add stream — count / sum / min / max exactly, mean / variance to
      1e-9 — and merging with an empty accumulator is the identity;
    - experiment level: frozen goldens.  The numbers in [goldens] were
-     captured from the serial (pre-pool) run_throughput_seeds for every
+     captured from the serial (pre-pool) multi-seed runner for every
      policy x {MINI-TS, MINI-TP, MINI-SC}; the suite checks that
      ~jobs:1 still reproduces them bit for bit and that ~jobs:4 equals
      ~jobs:1 bit for bit — the "parallelism changes the wall clock and
@@ -300,8 +300,14 @@ let policies (w : Workload.t) =
 
 let golden_seeds = [ 41; 42 ]
 
+(* A seed sweep under golden_config, summarized: one Experiment.run
+   result per seed, folded in seed order. *)
+let sweep ?jobs ~seeds spec w =
+  let plan = { Experiment.default_plan with seeds = Some seeds; jobs } in
+  Experiment.summarize (Experiment.run ~config:golden_config plan spec w)
+
 (* (policy, workload) -> (app mean, app stddev, seq mean, seq stddev),
-   captured from the serial pre-pool run_throughput_seeds at seeds
+   captured from the serial pre-pool multi-seed runner at seeds
    [41; 42] under golden_config.  Hex float literals: exact. *)
 let goldens =
   [
@@ -342,14 +348,14 @@ let test_goldens_and_jobs4 () =
         (fun (pname, spec) ->
           let name = Printf.sprintf "%s/%s" pname w.Workload.name in
           let app1, seq1 =
-            Experiment.run_throughput_seeds ~config:golden_config ~jobs:1 ~seeds:golden_seeds
+            sweep ~jobs:1 ~seeds:golden_seeds
               spec w
           in
           let am, ad, sm, sd = List.assoc (pname, w.Workload.name) goldens in
           check_summary (name ^ " app (serial vs golden)") (am, ad) app1;
           check_summary (name ^ " seq (serial vs golden)") (sm, sd) seq1;
           let app4, seq4 =
-            Experiment.run_throughput_seeds ~config:golden_config ~jobs:4 ~seeds:golden_seeds
+            sweep ~jobs:4 ~seeds:golden_seeds
               spec w
           in
           check_summaries_equal (name ^ " app (jobs=4 vs jobs=1)") app1 app4;
@@ -363,10 +369,10 @@ let test_env_jobs_matches_serial () =
      explicit serial path *)
   let spec = List.assoc "fixed" (policies mini_sc) in
   let app_env, seq_env =
-    Experiment.run_throughput_seeds ~config:golden_config ~seeds:golden_seeds spec mini_sc
+    sweep ~seeds:golden_seeds spec mini_sc
   in
   let app1, seq1 =
-    Experiment.run_throughput_seeds ~config:golden_config ~jobs:1 ~seeds:golden_seeds spec
+    sweep ~jobs:1 ~seeds:golden_seeds spec
       mini_sc
   in
   check_summaries_equal "app (env jobs vs serial)" app1 app_env;
@@ -374,7 +380,7 @@ let test_env_jobs_matches_serial () =
 
 let test_run_matrix_matches_seeds_runner () =
   (* run_matrix is the same cells behind a grid API: each (policy,
-     workload) summary must equal run_throughput_seeds exactly, at any
+     workload) summary must equal the seed sweep exactly, at any
      job count, in policy-major workload-minor order. *)
   let policies = [ ("buddy", fun _ -> C.Experiment.Buddy C.Buddy.default_config);
                    ("fixed", fun (w : Workload.t) -> List.assoc "fixed" (policies w)) ]
@@ -393,7 +399,7 @@ let test_run_matrix_matches_seeds_runner () =
       let _, spec_of = List.find (fun (p, _) -> p = mc.Experiment.m_policy) policies in
       let w = List.find (fun (w : Workload.t) -> w.Workload.name = mc.Experiment.m_workload) workloads in
       let app, seq =
-        Experiment.run_throughput_seeds ~config:golden_config ~jobs:1 ~seeds:golden_seeds
+        sweep ~jobs:1 ~seeds:golden_seeds
           (spec_of w) w
       in
       let name = mc.Experiment.m_policy ^ "/" ^ mc.Experiment.m_workload in
@@ -412,7 +418,7 @@ let test_empty_seed_list_raises () =
         (match f () with _ -> false | exception Invalid_argument _ -> true))
     [
       (fun () ->
-        ignore (Experiment.run_throughput_seeds ~config:golden_config ~seeds:[] edge_spec mini_sc));
+        ignore (sweep ~seeds:[] edge_spec mini_sc));
       (fun () ->
         ignore
           (Experiment.run_matrix ~config:golden_config ~seeds:[]
@@ -430,7 +436,7 @@ let test_empty_seed_list_raises () =
 
 let test_single_seed_stddev_zero () =
   let app, seq =
-    Experiment.run_throughput_seeds ~config:golden_config ~seeds:[ 42 ] edge_spec mini_sc
+    sweep ~seeds:[ 42 ] edge_spec mini_sc
   in
   check_int "runs" 1 app.Experiment.runs;
   check_exact_float "app stddev" 0. app.Experiment.stddev;
@@ -441,11 +447,11 @@ let test_duplicate_seeds_stddev_zero () =
   (* same seed = same isolated simulation = identical samples, so the
      deviation is exactly zero even in floating point *)
   let app, seq =
-    Experiment.run_throughput_seeds ~config:golden_config ~jobs:3 ~seeds:[ 42; 42; 42 ]
+    sweep ~jobs:3 ~seeds:[ 42; 42; 42 ]
       edge_spec mini_sc
   in
   let single, _ =
-    Experiment.run_throughput_seeds ~config:golden_config ~seeds:[ 42 ] edge_spec mini_sc
+    sweep ~seeds:[ 42 ] edge_spec mini_sc
   in
   check_int "runs" 3 app.Experiment.runs;
   check_exact_float "app stddev" 0. app.Experiment.stddev;
@@ -454,7 +460,7 @@ let test_duplicate_seeds_stddev_zero () =
 
 let test_seed_permutation_invariance () =
   let run seeds =
-    Experiment.run_throughput_seeds ~config:golden_config ~jobs:2 ~seeds edge_spec mini_sc
+    sweep ~jobs:2 ~seeds edge_spec mini_sc
   in
   let app_a, seq_a = run [ 41; 42; 43 ] in
   let app_b, seq_b = run [ 43; 41; 42 ] in

@@ -26,6 +26,11 @@ module Workload = C.Workload
 module File_type = C.File_type
 
 let check_bool = Alcotest.(check bool)
+
+(* One unsharded throughput run: (application, sequential) reports. *)
+let throughput ~config spec w =
+  let r = (Experiment.run ~config Experiment.default_plan spec w).(0) in
+  (r.Experiment.application, r.Experiment.sequential)
 let check_int = Alcotest.(check int)
 let check_exact_float name a b = Alcotest.(check (float 0.)) name a b
 
@@ -419,7 +424,7 @@ let test_fcfs_matches_seed_goldens () =
   check_int "alloc ops" 209470 alloc.Engine.alloc_ops;
   check_exact_float "alloc utilization" 0.99555555555555553 alloc.Engine.utilization_at_end;
   check_bool "alloc failed" true alloc.Engine.failed;
-  let tp_app, tp_seq = Experiment.run_throughput ~config:golden_config buddy mini_tp in
+  let tp_app, tp_seq = throughput ~config:golden_config buddy mini_tp in
   check_throughput "tp app"
     (12.17699789351555, 1385.382679652462, 60028.651772065787, 6, true, 4781)
     tp_app;
@@ -428,7 +433,7 @@ let test_fcfs_matches_seed_goldens () =
     tp_seq;
   check_exact_float "tp utilization" 0.52148148148148143 tp_app.Engine.utilization;
   check_exact_float "tp extents per file" 17.100000000000001 tp_app.Engine.mean_extents_per_file;
-  let sc_app, sc_seq = Experiment.run_throughput ~config:golden_config buddy mini_sc in
+  let sc_app, sc_seq = throughput ~config:golden_config buddy mini_sc in
   check_throughput "sc app"
     (86.536792465442815, 9845.3308839074143, 120012.13940555588, 12, false, 625)
     sc_app;
@@ -439,7 +444,7 @@ let test_fcfs_matches_seed_goldens () =
 
 let smoke_queued scheduler () =
   let config = { golden_config with scheduler } in
-  let app, seq = Experiment.run_throughput ~config buddy mini_tp in
+  let app, seq = throughput ~config buddy mini_tp in
   List.iter
     (fun (label, (r : Engine.throughput_report)) ->
       check_bool

@@ -202,7 +202,9 @@ let test_engine_fill_reaches_lower_bound () =
   check_bool "at or near N" true (Volume.utilization (Engine.volume engine) >= 0.85)
 
 let test_engine_throughput_tests_produce_sane_numbers () =
-  let app, seq = Experiment.run_throughput ~config:quick_config rb_spec tiny_workload in
+  let plan = Experiment.default_plan in
+  let r = (Experiment.run ~config:quick_config plan rb_spec tiny_workload).(0) in
+  let app = r.Experiment.application and seq = r.Experiment.sequential in
   check_bool "app positive" true (app.Engine.pct_of_max > 0.);
   check_bool "app below ceiling" true (app.Engine.pct_of_max < 104.);
   check_bool "seq positive" true (seq.Engine.pct_of_max > 0.);
@@ -302,25 +304,25 @@ let test_volume_occupancy () =
   check_bool "front full" true (cells.(0) > 0.9 && cells.(3) > 0.9);
   check_bool "back empty" true (cells.(8) < 0.1 && cells.(9) < 0.1)
 
-let test_trace_runner_replays () =
+let test_trace_replay_reports () =
   let trace =
     C.Trace.synthesize ~workload:tiny_workload ~duration_ms:20_000. ~seed:5
   in
-  let r = C.Trace_runner.run ~config:quick_config rb_spec trace in
-  check_bool "moved bytes" true (r.C.Trace_runner.bytes_moved > 0);
-  check_bool "did I/O" true (r.C.Trace_runner.io_ops > 0);
+  let r = (C.Trace_replay.run ~config:quick_config rb_spec trace).C.Trace_replay.report in
+  check_bool "moved bytes" true (r.C.Trace_replay.bytes_moved > 0);
+  check_bool "did I/O" true (r.C.Trace_replay.io_ops > 0);
   check_bool "sane throughput" true
-    (r.C.Trace_runner.pct_of_max > 0. && r.C.Trace_runner.pct_of_max < 104.);
-  check_bool "utilization positive" true (r.C.Trace_runner.utilization > 0.)
+    (r.C.Trace_replay.pct_of_max > 0. && r.C.Trace_replay.pct_of_max < 104.);
+  check_bool "utilization positive" true (r.C.Trace_replay.utilization > 0.)
 
-let test_trace_runner_deterministic_across_policies () =
+let test_trace_replay_deterministic () =
   (* The same trace must issue the same logical requests under any
      policy: I/O op counts may differ only through zero-length skips,
      never through randomness.  Run the same policy twice: identical. *)
   let trace = C.Trace.synthesize ~workload:tiny_workload ~duration_ms:10_000. ~seed:6 in
   let run () =
-    let r = C.Trace_runner.run ~config:quick_config rb_spec trace in
-    (r.C.Trace_runner.bytes_moved, r.C.Trace_runner.io_ops, r.C.Trace_runner.pct_of_max)
+    let r = (C.Trace_replay.run ~config:quick_config rb_spec trace).C.Trace_replay.report in
+    (r.C.Trace_replay.bytes_moved, r.C.Trace_replay.io_ops, r.C.Trace_replay.pct_of_max)
   in
   check_bool "identical replays" true (run () = run ())
 
@@ -446,8 +448,8 @@ let () =
           quick "experiment helpers" test_experiment_helpers;
           quick "report rendering" test_report_rendering;
           quick "occupancy map" test_volume_occupancy;
-          quick "trace replay" test_trace_runner_replays;
-          quick "trace replay deterministic" test_trace_runner_deterministic_across_policies;
+          quick "trace replay" test_trace_replay_reports;
+          quick "trace replay deterministic" test_trace_replay_deterministic;
           quick "governor caps utilization" test_engine_governor_caps_utilization;
           quick "fill plateaus gracefully" test_engine_fill_plateaus_gracefully;
           quick "read-ahead reduces I/Os" test_engine_readahead_reduces_ios;

@@ -1,6 +1,6 @@
 (* Sharded-run determinism battery (the sharding PR's headline test):
 
-   - partition invariance: Experiment.run_sharded produces bit-identical
+   - partition invariance: a sharded Experiment.run produces bit-identical
      merged reports (throughput, cache counters, fault counters) at
      shards 1 / 2 / 4 / 8 for every allocator policy on every mini
      workload — the "--shards changes the wall clock and nothing else"
@@ -10,7 +10,7 @@
      itself (slice configs, RNG stream derivation, workload partition,
      merge order) cannot drift silently;
    - serial equivalence: with shard_slices = 1 the sharded entry point
-     is byte-identical to Experiment.run_throughput, field for field;
+     is byte-identical to the unsharded run, field for field;
    - instrumented runs: attaching per-slice sinks (with tracing) merges
      to the same Sink JSON at every shard count;
    - hot-path allocation: a queued-path (SSTF) run and a default
@@ -186,6 +186,10 @@ let policies (w : Workload.t) =
 
 let edge_spec = C.Experiment.Fixed (C.Fixed_block.config ~block_bytes:(16 * 1024) ())
 
+(* One run of [spec] on [w] sharded on [shards] domains. *)
+let run_sharded ?(plan = Experiment.default_plan) ~config ~shards spec w =
+  (Experiment.run ~config { plan with shards = Some shards } spec w).(0)
+
 (* ------------------------------------------------------------------ *)
 (* Field-by-field bitwise equality helpers                             *)
 (* ------------------------------------------------------------------ *)
@@ -232,19 +236,19 @@ let check_cache_equal name (a : Engine.cache_report option) (b : Engine.cache_re
       check_bool (name ^ " per_type") true (a.Engine.cr_per_type = b.Engine.cr_per_type)
   | _ -> Alcotest.failf "%s: cache report presence differs" name
 
-let check_sharded_equal name (a : Engine.sharded_report) (b : Engine.sharded_report) =
-  check_tp_equal (name ^ " app") a.Engine.s_application b.Engine.s_application;
-  check_tp_equal (name ^ " seq") a.Engine.s_sequential b.Engine.s_sequential;
-  check_fault_equal (name ^ " fault") a.Engine.s_fault b.Engine.s_fault;
-  check_cache_equal (name ^ " cache") a.Engine.s_cache b.Engine.s_cache;
-  check_int (name ^ " slices") a.Engine.s_slices b.Engine.s_slices
+let check_sharded_equal name (a : Experiment.result) (b : Experiment.result) =
+  check_tp_equal (name ^ " app") a.Experiment.application b.Experiment.application;
+  check_tp_equal (name ^ " seq") a.Experiment.sequential b.Experiment.sequential;
+  check_fault_equal (name ^ " fault") a.Experiment.fault b.Experiment.fault;
+  check_cache_equal (name ^ " cache") a.Experiment.cache b.Experiment.cache;
+  check_int (name ^ " slices") a.Experiment.slices b.Experiment.slices
 
 (* ------------------------------------------------------------------ *)
 (* Partition invariance: shards 1 / 2 / 4 / 8 bit-identical            *)
 (* ------------------------------------------------------------------ *)
 
 (* (policy, workload) -> (app pct_of_max, seq pct_of_max), captured
-   from Experiment.run_sharded ~shards:1 under sharded_config
+   from run_sharded ~shards:1 under sharded_config
    (shard_slices = 4).  Hex float literals: exact. *)
 let sharded_goldens =
   [
@@ -271,19 +275,19 @@ let test_shard_count_invariance () =
       List.iter
         (fun (pname, spec) ->
           let cell = Printf.sprintf "%s/%s" pname w.Workload.name in
-          let base = Experiment.run_sharded ~config:sharded_config ~shards:1 spec w in
-          check_int (cell ^ " slices") 4 base.Engine.s_slices;
-          check_int (cell ^ " shards recorded") 1 base.Engine.s_shards;
-          check_bool (cell ^ " no sink unless instrumented") true (base.Engine.s_sink = None);
+          let base = run_sharded ~config:sharded_config ~shards:1 spec w in
+          check_int (cell ^ " slices") 4 base.Experiment.slices;
+          check_int (cell ^ " shards recorded") 1 base.Experiment.shards;
+          check_bool (cell ^ " no sink unless instrumented") true (base.Experiment.sink = None);
           let ga, gs = List.assoc (pname, w.Workload.name) sharded_goldens in
           check_exact_float (cell ^ " app pct (vs golden)") ga
-            base.Engine.s_application.Engine.pct_of_max;
+            base.Experiment.application.Engine.pct_of_max;
           check_exact_float (cell ^ " seq pct (vs golden)") gs
-            base.Engine.s_sequential.Engine.pct_of_max;
+            base.Experiment.sequential.Engine.pct_of_max;
           List.iter
             (fun shards ->
-              let r = Experiment.run_sharded ~config:sharded_config ~shards spec w in
-              check_int (cell ^ " shards recorded") shards r.Engine.s_shards;
+              let r = run_sharded ~config:sharded_config ~shards spec w in
+              check_int (cell ^ " shards recorded") shards r.Experiment.shards;
               check_sharded_equal (Printf.sprintf "%s shards=%d" cell shards) base r)
             [ 2; 4; 8 ])
         (policies w))
@@ -299,15 +303,16 @@ let test_serial_equivalence () =
     (fun (w, pname) ->
       let spec = List.assoc pname (policies w) in
       let cell = Printf.sprintf "%s/%s slices=1" pname w.Workload.name in
-      let app, seq = Experiment.run_throughput ~config spec w in
+      let unsharded = (Experiment.run ~config Experiment.default_plan spec w).(0) in
+      let app = unsharded.Experiment.application and seq = unsharded.Experiment.sequential in
       (* at any execution width: one slice just means one task *)
       List.iter
         (fun shards ->
-          let r = Experiment.run_sharded ~config ~shards spec w in
+          let r = run_sharded ~config ~shards spec w in
           let name = Printf.sprintf "%s shards=%d" cell shards in
-          check_int (name ^ " slices") 1 r.Engine.s_slices;
-          check_tp_equal (name ^ " app (vs run_throughput)") app r.Engine.s_application;
-          check_tp_equal (name ^ " seq (vs run_throughput)") seq r.Engine.s_sequential)
+          check_int (name ^ " slices") 1 r.Experiment.slices;
+          check_tp_equal (name ^ " app (vs unsharded)") app r.Experiment.application;
+          check_tp_equal (name ^ " seq (vs unsharded)") seq r.Experiment.sequential)
         [ 1; 4 ])
     [ (mini_ts, "restricted"); (mini_sc, "fixed"); (mini_tp, "lfs") ]
 
@@ -315,23 +320,24 @@ let test_serial_equivalence () =
 (* Instrumented runs: merged sink JSON identical at any width          *)
 (* ------------------------------------------------------------------ *)
 
-let sink_json (r : Engine.sharded_report) =
-  match r.Engine.s_sink with
+let sink_json (r : Experiment.result) =
+  match r.Experiment.sink with
   | None -> Alcotest.fail "expected a merged sink"
   | Some sink -> C.Obs.Json.to_string (C.Sink.to_json sink)
 
 let test_instrumented_invariance () =
   let spec = List.assoc "restricted" (policies mini_ts) in
   let run shards =
-    Experiment.run_sharded ~config:sharded_config ~shards ~instrument:true ~trace:true spec
-      mini_ts
+    run_sharded
+      ~plan:{ Experiment.default_plan with instrument = true; trace = true }
+      ~config:sharded_config ~shards spec mini_ts
   in
   let a = run 1 and b = run 4 in
   check_sharded_equal "instrumented shards=4 vs shards=1" a b;
-  check_bool "sink traces" true (C.Sink.tracing (Option.get a.Engine.s_sink));
+  check_bool "sink traces" true (C.Sink.tracing (Option.get a.Experiment.sink));
   check_bool "sink JSON identical" true (String.equal (sink_json a) (sink_json b));
   (* and instrumentation never changes simulated results *)
-  let plain = Experiment.run_sharded ~config:sharded_config ~shards:1 spec mini_ts in
+  let plain = run_sharded ~config:sharded_config ~shards:1 spec mini_ts in
   check_sharded_equal "instrumented vs plain" plain a
 
 (* ------------------------------------------------------------------ *)
@@ -341,10 +347,10 @@ let test_instrumented_invariance () =
 let test_cached_invariance () =
   let config = { sharded_config with Engine.cache = Some (C.Cache.config ~mb:4 ()) } in
   let spec = List.assoc "fixed" (policies mini_tp) in
-  let a = Experiment.run_sharded ~config ~shards:1 spec mini_tp in
-  let b = Experiment.run_sharded ~config ~shards:4 spec mini_tp in
+  let a = run_sharded ~config ~shards:1 spec mini_tp in
+  let b = run_sharded ~config ~shards:4 spec mini_tp in
   check_sharded_equal "cached shards=4 vs shards=1" a b;
-  match a.Engine.s_cache with
+  match a.Experiment.cache with
   | None -> Alcotest.fail "expected a merged cache report"
   | Some c ->
       check_int "lookups = hits + misses" c.Engine.cr_lookups (c.Engine.cr_hits + c.Engine.cr_misses);
@@ -356,16 +362,16 @@ let test_cached_invariance () =
 (* ------------------------------------------------------------------ *)
 
 let prop_any_width_invariant =
-  let baseline = lazy (Experiment.run_sharded ~config:sharded_config ~shards:1 edge_spec mini_sc) in
+  let baseline = lazy (run_sharded ~config:sharded_config ~shards:1 edge_spec mini_sc) in
   QCheck.Test.make ~name:"any shards width reproduces the shards=1 report" ~count:6
     QCheck.(int_range 1 12)
     (fun shards ->
       let base = Lazy.force baseline in
-      let r = Experiment.run_sharded ~config:sharded_config ~shards edge_spec mini_sc in
-      r.Engine.s_application = base.Engine.s_application
-      && r.Engine.s_sequential = base.Engine.s_sequential
-      && r.Engine.s_fault.Engine.drive_states = base.Engine.s_fault.Engine.drive_states
-      && r.Engine.s_shards = shards)
+      let r = run_sharded ~config:sharded_config ~shards edge_spec mini_sc in
+      r.Experiment.application = base.Experiment.application
+      && r.Experiment.sequential = base.Experiment.sequential
+      && r.Experiment.fault.Engine.drive_states = base.Experiment.fault.Engine.drive_states
+      && r.Experiment.shards = shards)
 
 (* ------------------------------------------------------------------ *)
 (* Hot-path allocation budget (queued / SSTF path)                     *)
@@ -544,14 +550,14 @@ let test_validate_shards () =
   check_bool "shard_slices=0 rejected" true
     (raises_invalid (fun () ->
          Engine.validate_config { sharded_config with Engine.shard_slices = 0 }));
-  check_bool "run_sharded shards=0 rejected" true
+  check_bool "sharded run with shards=0 rejected" true
     (raises_invalid (fun () ->
-         Experiment.run_sharded ~config:sharded_config ~shards:0 edge_spec mini_sc));
+         run_sharded ~config:sharded_config ~shards:0 edge_spec mini_sc));
   check_bool "slices > disks rejected" true
     (raises_invalid (fun () ->
-         Experiment.run_sharded
+         run_sharded
            ~config:{ sharded_config with Engine.disks = 2; shard_slices = 4 }
-           edge_spec mini_sc))
+           ~shards:1 edge_spec mini_sc))
 
 let test_partition_arithmetic () =
   let parts = Workload.partition mini_ts ~weights:[| 1; 1; 1; 1 |] in
@@ -580,9 +586,9 @@ let capture_goldens () =
     (fun w ->
       List.iter
         (fun (pname, spec) ->
-          let r = Experiment.run_sharded ~config:sharded_config ~shards:1 spec w in
+          let r = run_sharded ~config:sharded_config ~shards:1 spec w in
           Printf.printf "    ((%S, %S), (%h, %h));\n" pname w.Workload.name
-            r.Engine.s_application.Engine.pct_of_max r.Engine.s_sequential.Engine.pct_of_max)
+            r.Experiment.application.Engine.pct_of_max r.Experiment.sequential.Engine.pct_of_max)
         (policies w))
     [ mini_ts; mini_tp; mini_sc ]
 
